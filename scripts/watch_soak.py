@@ -55,6 +55,7 @@ from repro.core.mapping import OrgMapping  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.resilience import PROFILES, FaultInjector  # noqa: E402
 from repro.serve import QueryServer, QueryService  # noqa: E402
+from repro.serve.diff import diff_indexes  # noqa: E402
 from repro.serve.index import MappingIndex  # noqa: E402
 from repro.serve.store import SnapshotStore  # noqa: E402
 from repro.watch import (  # noqa: E402
@@ -67,7 +68,6 @@ from repro.watch import (  # noqa: E402
     WatchRunResult,
 )
 from repro.watch.archive import QUARANTINE_SUFFIX  # noqa: E402
-from repro.watch.diff import diff_indexes  # noqa: E402
 
 #: Universe: ASNs 1000..1400 in orgs of four.
 UNIVERSE = list(range(1000, 1400))

@@ -3,10 +3,10 @@
 A million-ASN sharded run is the longest wall-clock path in the repo;
 dying at shard 7 of 8 and redoing everything is the difference between a
 non-event and an incident.  :class:`RunCheckpoint` journals every
-completed shard's cluster lists into the same digest-chained, append-only
-JSONL the watch daemon uses (:class:`repro.watch.journal.RunJournal` —
-tamper-evident chain, fsync per entry, self-healing partial tail), keyed
-by a run *identity*.  ``borges run --shards N --resume`` (and every
+completed shard's cluster lists into a digest-chained, append-only JSONL
+log (:class:`repro.runtime.journal.ChainedJournal` — tamper-evident
+chain, fsync per entry, self-healing partial tail), keyed by a run
+*identity*.  ``borges run --shards N --resume`` (and every
 sharded watch refresh) replays the file, re-runs only missing or failed
 shards, and reduces journaled + fresh clusters into a mapping
 byte-identical to the uninterrupted run.
@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..digest import stable_digest
 from ..logutil import get_logger
+from ..runtime.journal import ChainedJournal
 from ..types import Cluster
-from ..watch.journal import RunJournal
 
 _LOG = get_logger("core.checkpoint")
 
@@ -74,7 +74,7 @@ class RunCheckpoint:
     """
 
     def __init__(self, path: Pathish) -> None:
-        self._journal = RunJournal(path)
+        self._journal = ChainedJournal(path)
 
     @property
     def path(self):
@@ -162,7 +162,7 @@ class RunCheckpoint:
             path.unlink()
         except OSError:
             pass
-        self._journal = RunJournal(path)
+        self._journal = ChainedJournal(path)
 
     # -- decoding ----------------------------------------------------------
 

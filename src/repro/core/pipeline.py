@@ -36,17 +36,19 @@ from ..obs.tracer import Tracer, get_tracer
 from ..peeringdb import PDBSnapshot
 from ..resilience.faults import (
     FaultInjector,
-    FaultyWeb,
     resolve_fault_profile,
     shard_fault_decision,
 )
 from ..resilience.policy import RetryPolicy
+from ..runtime.supervise import run_supervised
 from ..types import Cluster
+from ..web.faults import FaultyWeb
 from ..web.favicon import FaviconAPI
 from ..web.scraper import HeadlessScraper
 from ..web.simweb import SimulatedWeb
 from ..whois import WhoisDataset
 from .artifacts import ArtifactStore
+from .checkpoint import RunCheckpoint, run_identity
 from .executor import ExecutionOutcome, StageExecutor
 from .mapping import OrgMapping
 from .merge import merge_clusters, reduce_shard_clusters
@@ -517,7 +519,6 @@ def run_sharded(
     shard_workers: str = "thread",
     shard_retries: int = 1,
     shard_deadline: Optional[float] = None,
-    heartbeat_interval: float = 0.2,
     checkpoint_path: Optional[object] = None,
     resume: bool = False,
 ) -> ShardedBorgesResult:
@@ -536,7 +537,7 @@ def run_sharded(
     the unsharded one *when every shard succeeded*.
 
     **Fault tolerance.**  Shards run under the supervised fan-out
-    (:func:`~repro.serve.shm.pool.run_supervised`): an attempt that
+    (:func:`~repro.runtime.supervise.run_supervised`): an attempt that
     raises, crashes its forked child, or outlives *shard_deadline*
     seconds (process mode: SIGKILL; thread mode: the watchdog abandons
     the attempt) is retried up to *shard_retries* more times with
@@ -585,9 +586,6 @@ def run_sharded(
     if store is None:
         cache_dir = config.executor.artifact_cache_dir
         store = ArtifactStore(root=cache_dir) if cache_dir else ArtifactStore()
-
-    from ..serve.shm.pool import run_supervised
-    from .checkpoint import RunCheckpoint, run_identity
 
     profile = resolve_fault_profile(config.resilience.fault_profile)
     fault_active = profile.active
@@ -733,7 +731,6 @@ def run_sharded(
                     max_delay=1.0,
                     seed=seed,
                 ),
-                heartbeat_interval=heartbeat_interval,
                 on_outcome=on_outcome,
             )
 

@@ -30,7 +30,7 @@ from ..core.artifacts import ArtifactStore
 from ..core.mapping import OrgMapping
 from ..core.pipeline import BorgesPipeline, BorgesResult
 from ..errors import ExperimentError
-from ..logutil import get_logger, timed
+from ..logutil import get_logger
 from ..metrics.org_factor import org_factor_from_mapping
 from ..obs.registry import get_registry
 from ..obs.tracer import get_tracer
@@ -67,7 +67,7 @@ class ExperimentContext:
     ) -> "ExperimentContext":
         tracer = get_tracer()
         store = ArtifactStore()
-        with timed(_LOG, "experiment context build") as block:
+        with tracer.span("context.build") as span:
             with tracer.span("context.universe"):
                 universe = generate_universe(universe_config)
             pipeline = BorgesPipeline(
@@ -82,7 +82,7 @@ class ExperimentContext:
                 )
         get_registry().gauge(
             "context_build_seconds", "wall-clock to build an ExperimentContext"
-        ).set(block.elapsed)
+        ).set(span.duration)
         return cls(
             universe=universe,
             pipeline=pipeline,

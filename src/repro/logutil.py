@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import logging
 import sys
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Optional
 
 _ROOT_NAME = "repro"
 
@@ -40,90 +36,3 @@ def setup_logging(level: int = logging.INFO, stream=None) -> None:
     )
     logger.addHandler(handler)
     logger.propagate = False
-
-
-@dataclass
-class TimedBlock:
-    """Mutable holder :func:`timed` yields; ``elapsed`` is filled on exit.
-
-    Callers that need the measured duration (to feed a metric, a span, a
-    report row) read ``block.elapsed`` after the ``with`` block instead of
-    re-timing the work themselves.
-    """
-
-    label: str
-    elapsed: float = 0.0
-
-
-@contextmanager
-def timed(logger: logging.Logger, label: str, level: int = logging.INFO) -> Iterator[TimedBlock]:
-    """Log the wall-clock duration of a block and expose it to the caller::
-
-        with timed(log, "scrape") as block:
-            ...
-        registry.gauge("scrape_seconds").set(block.elapsed)
-    """
-    block = TimedBlock(label=label)
-    start = time.perf_counter()
-    try:
-        yield block
-    finally:
-        block.elapsed = time.perf_counter() - start
-        logger.log(level, "%s took %.3fs", label, block.elapsed)
-
-
-class ProgressCounter:
-    """Periodic progress logging for long loops without external deps."""
-
-    def __init__(
-        self,
-        logger: logging.Logger,
-        label: str,
-        total: Optional[int] = None,
-        every: int = 1000,
-    ) -> None:
-        self._logger = logger
-        self._label = label
-        self._total = total
-        self._every = max(1, every)
-        self._count = 0
-        self._started = time.perf_counter()
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def rate(self) -> float:
-        """Items processed per second since construction."""
-        elapsed = time.perf_counter() - self._started
-        return self._count / elapsed if elapsed > 0 else 0.0
-
-    def tick(self, n: int = 1) -> None:
-        self._count += n
-        if self._count % self._every == 0:
-            self._emit_progress()
-
-    def done(self) -> None:
-        """Log the final tally — skipped if :meth:`tick` just logged it
-        (count landing exactly on an ``every`` boundary)."""
-        if self._count % self._every == 0:
-            return
-        self._emit_progress(final=True)
-
-    def _emit_progress(self, final: bool = False) -> None:
-        suffix = " (done)" if final else ""
-        if self._total:
-            self._logger.info(
-                "%s: %d/%d (%.1f%%, %.0f/s)%s",
-                self._label,
-                self._count,
-                self._total,
-                100.0 * self._count / self._total,
-                self.rate,
-                suffix,
-            )
-        else:
-            self._logger.info(
-                "%s: %d (%.0f/s)%s", self._label, self._count, self.rate, suffix
-            )

@@ -11,9 +11,9 @@ survive them, and a deterministic chaos layer to prove that it does:
   :class:`BreakerRegistry`: closed/open/half-open gates per backend and
   per host.
 * :mod:`repro.resilience.faults` — :class:`FaultInjector` plus the
-  :data:`PROFILES` catalogue and the :class:`FaultyChatBackend` /
-  :class:`FaultyWeb` wrappers; chaos runs reproduce exactly from
-  ``(seed, profile)``.
+  :data:`PROFILES` catalogue and the :class:`FaultyChatBackend`
+  wrapper (the web's is :class:`repro.web.faults.FaultyWeb`); chaos
+  runs reproduce exactly from ``(seed, profile)``.
 * :mod:`repro.resilience.seeding` — the order-independent hash both the
   jitter and the injector draw from.
 
@@ -33,7 +33,6 @@ from .faults import (
     FaultInjector,
     FaultProfile,
     FaultyChatBackend,
-    FaultyWeb,
     corrupt_snapshot_text,
     resolve_fault_profile,
     shard_fault_decision,
@@ -49,7 +48,6 @@ __all__ = [
     "FaultInjector",
     "FaultProfile",
     "FaultyChatBackend",
-    "FaultyWeb",
     "SERVE_SURFACE",
     "SHARD_SURFACE",
     "WATCH_SURFACE",

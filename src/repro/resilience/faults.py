@@ -5,10 +5,11 @@ dependencies that rate-limit, time out and reset in production.  A
 :class:`FaultInjector` draws deterministic, order-independent coins
 (seed + call identity, see :mod:`repro.resilience.seeding`) against a
 named :class:`FaultProfile`, so a chaos run is byte-reproducible from
-``(seed, profile)``.  :class:`FaultyChatBackend` and :class:`FaultyWeb`
-wrap the simulated backend/web and translate those coins into the faults
-the resilience layer must survive: 429 bursts, timeouts, connection
-resets, intermittent 5xx, truncated completions.
+``(seed, profile)``.  :class:`FaultyChatBackend` and
+:class:`repro.web.faults.FaultyWeb` wrap the simulated backend/web and
+translate those coins into the faults the resilience layer must
+survive: 429 bursts, timeouts, connection resets, intermittent 5xx,
+truncated completions.
 
 Profiles
 --------
@@ -33,7 +34,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import (
     ConfigError,
-    FetchError,
     LLMConnectionError,
     LLMRateLimitError,
     LLMTimeoutError,
@@ -469,54 +469,3 @@ class FaultyChatBackend:
         if kind == "truncate":
             return content[: max(1, int(len(content) * TRUNCATE_KEEP_FRACTION))]
         return content
-
-
-class FaultyWeb:
-    """Web-driver decorator injecting seeded fetch faults.
-
-    Wraps anything with the :class:`repro.web.simweb.SimulatedWeb`
-    interface; non-``fetch`` calls (site registry, favicon bytes, stats)
-    pass through untouched.
-    """
-
-    def __init__(self, inner, injector: FaultInjector) -> None:
-        self._inner = inner
-        self._injector = injector
-
-    @property
-    def inner(self):
-        return self._inner
-
-    def _key(self, url: str) -> str:
-        from ..web.url import parse_url
-
-        try:
-            return parse_url(url).host
-        except Exception:
-            return url
-
-    def fetch(self, url: str):
-        kind = self._injector.next_fault(WEB_SURFACE, self._key(url))
-        if kind == "timeout":
-            raise FetchError(url, "injected fault: connection timed out", transient=True)
-        if kind == "reset":
-            raise FetchError(url, "injected fault: connection reset", transient=True)
-        if kind == "server_error":
-            from ..web.http import HTTPResponse
-
-            return HTTPResponse(
-                url=url, status=503, body="injected fault: service unavailable"
-            )
-        return self._inner.fetch(url)
-
-    def favicon_bytes(self, url: str):
-        return self._inner.favicon_bytes(url)
-
-    def __getattr__(self, item):
-        return getattr(self._inner, item)
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def __contains__(self, host: str) -> bool:
-        return host in self._inner

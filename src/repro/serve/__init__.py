@@ -6,6 +6,9 @@ them, the way downstream tools consume CAIDA's AS2Org:
 
 * :mod:`repro.serve.index` — :class:`MappingIndex`: immutable O(1)
   ASN→org / org→members lookups plus tokenized org-name search;
+* :mod:`repro.serve.diff` — :class:`GenerationDiff`: orgs merged/split
+  and ASNs moved between two indexed generations (the ``/v1/diff``
+  body, and the publish gate's churn input);
 * :mod:`repro.serve.store` — :class:`SnapshotStore`: loads generations
   (pipeline results, mapping JSON, CAIDA-format release files, merge
   artifacts) and hot-swaps them atomically, draining retired readers;
@@ -39,6 +42,7 @@ points.
 """
 
 from .admission import AdmissionController, AdmissionLimits
+from .diff import GenerationDiff, diff_indexes
 from .index import AsnRecord, MappingIndex, OrgRecord, org_handle, tokenize
 from .loadgen import (
     RESPONSE_CLASSES,
@@ -67,6 +71,8 @@ __all__ = [
     "AdmissionController",
     "AdmissionLimits",
     "AsnRecord",
+    "GenerationDiff",
+    "diff_indexes",
     "MappingIndex",
     "OrgRecord",
     "org_handle",

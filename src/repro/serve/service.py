@@ -41,6 +41,7 @@ from ..obs.log import EventLog, get_event_log
 from ..obs.slo import ExemplarStore, SLOTracker
 from ..types import ASN
 from .admission import AdmissionController
+from .diff import diff_indexes
 from .store import SnapshotStore
 
 #: The endpoints the service meters; the HTTP layer maps routes onto them.
@@ -401,8 +402,6 @@ class QueryService:
         Both endpoints of the diff come from the immutable archive, so
         the response is cached under the (from, to) pair permanently.
         """
-        from ..watch.diff import diff_indexes
-
         started = time.perf_counter()
         with self._admit("diff"):
             try:

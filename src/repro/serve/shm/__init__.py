@@ -42,13 +42,7 @@ from .segment import (
     default_shm_root,
     map_blob_file,
 )
-from .pool import (
-    ForkedOutcome,
-    WorkerConfig,
-    WorkerPool,
-    run_forked,
-    run_supervised,
-)
+from .pool import WorkerConfig, WorkerPool
 
 __all__ = [
     "BLOB_MAGIC",
@@ -59,7 +53,6 @@ __all__ = [
     "BlobHeader",
     "BlobIndex",
     "BlobOrgRecord",
-    "ForkedOutcome",
     "MappedBlob",
     "SegmentStore",
     "WorkerConfig",
@@ -68,7 +61,5 @@ __all__ = [
     "default_shm_root",
     "map_blob_file",
     "read_header",
-    "run_forked",
-    "run_supervised",
     "verify_blob",
 ]

@@ -25,10 +25,6 @@ an admin HTTP server on an ephemeral port for per-worker ``/metrics``
 are aligned to the pool pointer via
 :meth:`~repro.serve.store.SnapshotStore.advance_generation`, so a
 respawned worker reports the same generation as its siblings.
-
-:func:`run_forked` is the generic fork-and-supervise primitive the pool
-and ``run_sharded(--shard-workers process)`` share: run callables in
-forked children, pickle only results back over a pipe.
 """
 
 from __future__ import annotations
@@ -41,9 +37,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ...errors import ServeError
 from ...logutil import get_logger
@@ -54,469 +49,12 @@ from .segment import MappedBlob, SegmentStore, default_shm_root
 
 _LOG = get_logger("serve.shm.pool")
 
-#: Fork start method: children inherit the compiled blob path and config
-#: by memory, and (unlike spawn) the callables given to
-#: :func:`run_forked` need not be picklable.
+#: Fork start method: workers inherit the compiled blob path and config
+#: by memory.
 _MP = multiprocessing.get_context("fork")
 
 #: Supervisor state file other tools (``borges top --pool``) read.
 POOL_STATE_NAME = "pool.json"
-
-
-# ---------------------------------------------------------------------------
-# generic fork/supervise plumbing
-
-
-@dataclass
-class ForkedOutcome:
-    """Final verdict for one supervised task across all of its attempts.
-
-    ``exit_reason`` is the *last* attempt's fate: ``ok``, ``error`` (the
-    thunk raised), ``crashed`` (the child died without reporting —
-    segfault, ``kill -9``, ``os._exit``), ``deadline`` (the watchdog
-    SIGKILLed / abandoned a hung attempt), or ``cancelled`` (a
-    ``fail_fast`` sibling failed before this task was decided).
-    """
-
-    index: int
-    ok: bool
-    value: object = None
-    error: str = ""
-    exit_reason: str = "ok"
-    attempts: int = 1
-    duration_seconds: float = 0.0
-    heartbeats: int = 0
-
-    @property
-    def retries(self) -> int:
-        return max(0, self.attempts - 1)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "ok": self.ok,
-            "error": self.error,
-            "exit_reason": self.exit_reason,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "duration_seconds": round(self.duration_seconds, 6),
-            "heartbeats": self.heartbeats,
-        }
-
-
-@dataclass
-class _Running:
-    """One in-flight forked attempt (parent-side bookkeeping)."""
-
-    index: int
-    attempt: int  # 0-based
-    proc: object
-    started: float
-    heartbeats: int = 0
-
-
-def _supervised_entry(thunk, attempt: int, conn, heartbeat_interval: float) -> None:
-    """Child side: heartbeat over the result pipe while the thunk runs.
-
-    The pipe carries ``(tag, payload)`` tuples — ``("hb", n)`` liveness
-    beats from a daemon thread, then exactly one ``("ok", result)`` or
-    ``("err", message)``.  A lock serialises the two senders; interleaved
-    ``send`` calls from different threads would corrupt the stream.
-    """
-    send_lock = threading.Lock()
-    stop = threading.Event()
-
-    def _beat() -> None:
-        beats = 0
-        while not stop.wait(heartbeat_interval):
-            beats += 1
-            try:
-                with send_lock:
-                    conn.send(("hb", beats))
-            except OSError:
-                return
-
-    if heartbeat_interval > 0:
-        threading.Thread(
-            target=_beat, daemon=True, name="borges-heartbeat"
-        ).start()
-    try:
-        result = thunk(attempt)
-    except BaseException as exc:  # noqa: BLE001 — report, don't traceback
-        stop.set()
-        try:
-            with send_lock:
-                conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        os._exit(1)
-    stop.set()
-    with send_lock:
-        conn.send(("ok", result))
-    conn.close()
-    os._exit(0)
-
-
-def _drain_and_reap(conn, proc, timeout: float = 5.0) -> None:
-    """Drain a child's pipe end, then terminate and join the child.
-
-    Order matters: a child mid-``send`` of a payload larger than the
-    pipe buffer is blocked in ``write(2)`` and cannot exit, so a
-    ``join()`` that never drains the parent end deadlocks.  Drain first,
-    keep draining while the join waits, escalate to SIGKILL at the
-    timeout.
-    """
-
-    def _drain() -> None:
-        try:
-            while conn.poll(0):
-                try:
-                    conn.recv()
-                except (EOFError, OSError):
-                    return
-        except (OSError, ValueError):
-            return
-
-    _drain()
-    if proc.is_alive():
-        proc.terminate()
-    deadline = time.monotonic() + timeout
-    while proc.is_alive() and time.monotonic() < deadline:
-        _drain()
-        proc.join(0.05)
-    if proc.is_alive():
-        proc.kill()
-    proc.join(1.0)
-    conn.close()
-
-
-def run_supervised(
-    thunks: Sequence[Callable[[int], object]],
-    *,
-    max_workers: Optional[int] = None,
-    mode: str = "process",
-    deadline: Optional[float] = None,
-    retries: int = 0,
-    retry_policy=None,
-    heartbeat_interval: float = 0.5,
-    fail_fast: bool = False,
-    on_outcome: Optional[Callable[[ForkedOutcome], None]] = None,
-) -> List[ForkedOutcome]:
-    """Supervised fan-out: run each thunk to a :class:`ForkedOutcome`.
-
-    Each *thunk* is called as ``thunk(attempt)`` (0-based attempt
-    number).  At most *max_workers* attempts run at once.  An attempt
-    that raises, crashes, or outlives *deadline* seconds (process mode:
-    SIGKILL; thread mode: the watchdog abandons the daemon thread —
-    threads cannot be killed) is retried up to *retries* more times,
-    sleeping *retry_policy*'s seeded-jitter backoff between attempts.
-    Nothing raises: every task gets an outcome, and ``on_outcome`` fires
-    from the supervisor as each task reaches its final verdict.
-
-    With ``fail_fast`` the first exhausted task stops the fan-out:
-    in-flight siblings are drained-then-terminated (never joined while
-    their pipe is full) and undecided tasks come back ``cancelled``.
-
-    The total wall clock per task is bounded by
-    ``deadline × (retries + 1)`` plus backoff, which is what makes a
-    sharded run survive a sleep-forever shard.
-    """
-    thunks = list(thunks)
-    if not thunks:
-        return []
-    if mode not in ("process", "thread"):
-        raise ServeError(f"unknown supervised mode {mode!r}")
-    cap = max(1, max_workers if max_workers else len(thunks))
-    if retry_policy is None:
-        from ...resilience.policy import RetryPolicy
-
-        retry_policy = RetryPolicy(base_delay=0.0, jitter=0.0)
-    if mode == "thread":
-        return _run_supervised_threads(
-            thunks, cap, deadline, retries, retry_policy, fail_fast,
-            on_outcome,
-        )
-    return _run_supervised_procs(
-        thunks, cap, deadline, retries, retry_policy, heartbeat_interval,
-        fail_fast, on_outcome,
-    )
-
-
-def _cancelled(index: int, attempts: int = 0) -> ForkedOutcome:
-    return ForkedOutcome(
-        index=index,
-        ok=False,
-        error="cancelled after a sibling task failed",
-        exit_reason="cancelled",
-        attempts=attempts,
-    )
-
-
-def _run_supervised_procs(
-    thunks, cap, deadline, retries, retry_policy, heartbeat_interval,
-    fail_fast, on_outcome,
-) -> List[ForkedOutcome]:
-    results: List[Optional[ForkedOutcome]] = [None] * len(thunks)
-    heartbeat_tally = [0] * len(thunks)
-    spent = [0.0] * len(thunks)  # completed-attempt seconds per task
-    pending = list(range(len(thunks)))  # first attempts, ready now
-    retry_at: List[tuple] = []  # (ready_monotonic, index, attempt)
-    active: Dict[object, _Running] = {}
-    stop_fanout = False
-
-    def _spawn(index: int, attempt: int) -> None:
-        parent, child = _MP.Pipe(duplex=False)
-        proc = _MP.Process(
-            target=_supervised_entry,
-            args=(thunks[index], attempt, child, heartbeat_interval),
-            daemon=True,
-            name=f"borges-forked-{index}-a{attempt}",
-        )
-        proc.start()
-        child.close()
-        active[parent] = _Running(index, attempt, proc, time.monotonic())
-
-    def _finalize(run: _Running, ok, value, error, reason, duration) -> ForkedOutcome:
-        outcome = ForkedOutcome(
-            index=run.index,
-            ok=ok,
-            value=value,
-            error=error,
-            exit_reason=reason,
-            attempts=run.attempt + 1,
-            duration_seconds=spent[run.index] + duration,
-            heartbeats=heartbeat_tally[run.index],
-        )
-        results[run.index] = outcome
-        if on_outcome is not None:
-            on_outcome(outcome)
-        return outcome
-
-    def _attempt_failed(run: _Running, error: str, reason: str) -> bool:
-        """Retry or finalize a failed attempt; True when task is exhausted."""
-        duration = time.monotonic() - run.started
-        if run.attempt < retries:
-            spent[run.index] += duration
-            delay = retry_policy.delay_for(
-                run.attempt + 1, key=f"task-{run.index}"
-            )
-            retry_at.append((time.monotonic() + delay, run.index, run.attempt + 1))
-            _LOG.warning(
-                "supervised task %d attempt %d failed (%s: %s); retrying "
-                "in %.3fs", run.index, run.attempt + 1, reason, error, delay,
-            )
-            return False
-        _finalize(run, False, None, error, reason, duration)
-        return True
-
-    try:
-        while pending or retry_at or active:
-            now = time.monotonic()
-            retry_at.sort()
-            while retry_at and retry_at[0][0] <= now and len(active) < cap:
-                _, index, attempt = retry_at.pop(0)
-                _spawn(index, attempt)
-            while pending and len(active) < cap:
-                _spawn(pending.pop(0), 0)
-            if not active:
-                # Only backoff sleeps remain; wait for the earliest.
-                time.sleep(
-                    max(0.0, min(r[0] for r in retry_at) - time.monotonic())
-                )
-                continue
-            timeout = None
-            if deadline is not None:
-                expiry = min(r.started + deadline for r in active.values())
-                timeout = max(0.0, expiry - time.monotonic())
-            if retry_at:
-                until_retry = max(0.0, retry_at[0][0] - time.monotonic())
-                timeout = (
-                    until_retry if timeout is None
-                    else min(timeout, until_retry)
-                )
-            exhausted = False
-            for conn in _connection_wait(list(active), timeout):
-                run = active[conn]
-                try:
-                    tag, payload = conn.recv()
-                except (EOFError, OSError):
-                    active.pop(conn)
-                    conn.close()
-                    run.proc.join()
-                    exhausted |= _attempt_failed(
-                        run,
-                        f"exited with code {run.proc.exitcode} "
-                        "before reporting a result",
-                        "crashed",
-                    )
-                    continue
-                if tag == "hb":
-                    run.heartbeats += 1
-                    heartbeat_tally[run.index] += 1
-                    continue
-                active.pop(conn)
-                conn.close()
-                run.proc.join()
-                duration = time.monotonic() - run.started
-                if tag == "ok":
-                    _finalize(run, True, payload, "", "ok", duration)
-                else:
-                    exhausted |= _attempt_failed(run, str(payload), "error")
-            if deadline is not None:
-                now = time.monotonic()
-                hung = [
-                    conn for conn, run in active.items()
-                    if now - run.started >= deadline
-                ]
-                for conn in hung:
-                    run = active.pop(conn)
-                    # SIGKILL, not SIGTERM: a truly hung child may ignore
-                    # or never reach a TERM handler.
-                    run.proc.kill()
-                    _drain_and_reap(conn, run.proc)
-                    exhausted |= _attempt_failed(
-                        run,
-                        f"hung past the {deadline:.3g}s deadline (SIGKILLed "
-                        f"after {run.heartbeats} heartbeats)",
-                        "deadline",
-                    )
-            if fail_fast and exhausted:
-                stop_fanout = True
-                break
-    finally:
-        for conn, run in list(active.items()):
-            run.proc.kill()
-            _drain_and_reap(conn, run.proc)
-        active.clear()
-    if stop_fanout:
-        for index, outcome in enumerate(results):
-            if outcome is None:
-                results[index] = _cancelled(index)
-    return [outcome for outcome in results if outcome is not None]
-
-
-def _run_supervised_threads(
-    thunks, cap, deadline, retries, retry_policy, fail_fast, on_outcome,
-) -> List[ForkedOutcome]:
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-
-    abort = threading.Event()
-
-    def _supervise_one(index: int) -> ForkedOutcome:
-        total = 0.0
-        for attempt in range(retries + 1):
-            if abort.is_set():
-                return _cancelled(index, attempts=attempt)
-            box: Dict[str, object] = {}
-            done = threading.Event()
-
-            def _attempt_body(attempt: int = attempt) -> None:
-                try:
-                    box["value"] = thunks[index](attempt)
-                    box["ok"] = True
-                except BaseException as exc:  # noqa: BLE001
-                    box["ok"] = False
-                    box["error"] = f"{type(exc).__name__}: {exc}"
-                finally:
-                    done.set()
-
-            started = time.monotonic()
-            threading.Thread(
-                target=_attempt_body,
-                daemon=True,
-                name=f"borges-supervised-{index}-a{attempt}",
-            ).start()
-            if deadline is not None:
-                finished = done.wait(deadline)
-            else:
-                done.wait()
-                finished = True
-            total += time.monotonic() - started
-            if finished and box.get("ok"):
-                return ForkedOutcome(
-                    index=index,
-                    ok=True,
-                    value=box.get("value"),
-                    attempts=attempt + 1,
-                    duration_seconds=total,
-                )
-            if not finished:
-                # A thread cannot be SIGKILLed; abandon the attempt (the
-                # daemon thread keeps running harmlessly and its late
-                # result is ignored) and account it like a killed child.
-                error = (
-                    f"hung past the {deadline:.3g}s deadline "
-                    "(attempt abandoned)"
-                )
-                reason = "deadline"
-            else:
-                error = str(box.get("error", ""))
-                reason = "error"
-            if attempt < retries:
-                delay = retry_policy.delay_for(attempt + 1, key=f"task-{index}")
-                if delay > 0.0:
-                    time.sleep(delay)
-                continue
-            return ForkedOutcome(
-                index=index,
-                ok=False,
-                error=error,
-                exit_reason=reason,
-                attempts=attempt + 1,
-                duration_seconds=total,
-            )
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    results: List[Optional[ForkedOutcome]] = [None] * len(thunks)
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = {
-            pool.submit(_supervise_one, index): index
-            for index in range(len(thunks))
-        }
-        for future in as_completed(futures):
-            outcome = future.result()
-            results[futures[future]] = outcome
-            if outcome.exit_reason != "cancelled" and on_outcome is not None:
-                on_outcome(outcome)
-            if fail_fast and not outcome.ok:
-                abort.set()
-    return [outcome for outcome in results if outcome is not None]
-
-
-def run_forked(
-    thunks: Sequence[Callable[[], object]],
-    max_workers: Optional[int] = None,
-) -> List[object]:
-    """Run *thunks* in forked child processes; results in input order.
-
-    The strict façade over :func:`run_supervised`: no retries, no
-    deadline, and the first failure raises
-    :class:`~repro.errors.ServeError` after in-flight siblings are
-    drained-then-terminated (draining first matters — a sibling blocked
-    writing a large pickled result cannot exit, so joining it without
-    emptying the pipe would deadlock).  Callers that want partial
-    results or retries use :func:`run_supervised` directly.
-    """
-    wrapped = [
-        (lambda _attempt, thunk=thunk: thunk()) for thunk in thunks
-    ]
-    outcomes = run_supervised(
-        wrapped,
-        max_workers=max_workers,
-        mode="process",
-        heartbeat_interval=0.0,
-        fail_fast=True,
-    )
-    for outcome in outcomes:
-        if not outcome.ok and outcome.exit_reason != "cancelled":
-            raise ServeError(
-                f"forked worker {outcome.index} failed: {outcome.error}"
-            )
-    return [outcome.value for outcome in outcomes]
-
-
-# ---------------------------------------------------------------------------
-# the serve worker pool
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ that does it without ever taking the serve tier down:
 * :mod:`repro.watch.gate` — :class:`PublishGate`: candidate generations
   are diffed against the active one and refused when org count, ASN
   coverage, churn or ground-truth precision regress past thresholds;
-* :mod:`repro.watch.diff` — :class:`GenerationDiff`: orgs merged/split
-  and ASNs moved between any two generations (the ``/v1/diff`` body);
 * :mod:`repro.watch.daemon` — :class:`WatchDaemon`: the supervised loop
   tying it together, with seeded-jitter backoff after failures and a
   restart budget that halts a wedged loop while serving continues.
@@ -36,7 +34,6 @@ from .daemon import (
     WatchDaemon,
     WatchRunResult,
 )
-from .diff import GenerationDiff, diff_indexes
 from .gate import GateDecision, GateThresholds, PublishGate
 from .journal import QUARANTINE_CRASHES, RunJournal
 
@@ -48,8 +45,6 @@ __all__ = [
     "WatchConfig",
     "WatchDaemon",
     "WatchRunResult",
-    "GenerationDiff",
-    "diff_indexes",
     "GateDecision",
     "GateThresholds",
     "PublishGate",

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError
+from ..serve.diff import GenerationDiff, diff_indexes
 from ..serve.index import MappingIndex
-from .diff import GenerationDiff, diff_indexes
 
 
 @dataclass(frozen=True)

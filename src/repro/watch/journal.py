@@ -3,18 +3,8 @@
 The watch loop must survive ``kill -9`` at any instruction.  Everything
 it needs to resume — which dataset digests were already published, which
 ones crashed the process and how often — lives in one append-only JSONL
-file.  Each entry is digest-chained to its predecessor::
-
-    {"seq": 3, "ts": ..., "kind": "publish", "prev": "<digest of seq 2>",
-     "fields": {...}, "digest": "<digest of this entry sans itself>"}
-
-The chain makes the file tamper-evident: replay recomputes every link
-and a mid-file mismatch raises
-:class:`~repro.errors.JournalIntegrityError`.  The *final* line is the
-one place corruption is expected — a crash mid-append leaves a partial
-line — so replay drops a trailing line that does not parse or whose
-digest does not close the chain, and the next append rewrites from the
-last good entry.
+file, in the digest-chained, fsync-per-entry, self-healing format of
+:class:`repro.runtime.journal.ChainedJournal`.
 
 Entry kinds (the ``fields`` payload varies by kind):
 
@@ -41,22 +31,9 @@ archive instead of re-running the pipeline or double-publishing.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, Optional, Set
 
-from ..digest import stable_digest
-from ..errors import JournalIntegrityError
-from ..logutil import get_logger
-
-_LOG = get_logger("watch.journal")
-
-#: ``prev`` of the first entry — a fixed sentinel, not an empty string,
-#: so an attacker cannot splice a forged "first" entry mid-file.
-GENESIS = "genesis"
+from ..runtime.journal import ChainedJournal
 
 #: Entry kinds that terminate a ``start`` (see module docstring).
 TERMINAL_KINDS = frozenset({"publish", "swap", "fail", "skip", "gate"})
@@ -65,138 +42,14 @@ TERMINAL_KINDS = frozenset({"publish", "swap", "fail", "skip", "gate"})
 QUARANTINE_CRASHES = 2
 
 
-def _entry_digest(seq: int, kind: str, prev: str, fields: Dict[str, object]) -> str:
-    return stable_digest({"seq": seq, "kind": kind, "prev": prev, "fields": fields})
+class RunJournal(ChainedJournal):
+    """The watch daemon's run journal: a :class:`ChainedJournal` plus the
+    derived state the daemon resumes from.
 
-
-class RunJournal:
-    """Append-only, digest-chained JSONL journal for the watch daemon.
-
-    Opening the journal replays it: the digest chain is verified, a
-    corrupt trailing line (the crash artifact) is dropped, and the
-    derived state — published digests, orphan-crash counts, quarantine
-    set — is rebuilt so the daemon resumes exactly where the dead
-    process stopped.
+    Opening the journal replays it, so published digests, orphan-crash
+    counts and the quarantine set are rebuilt and the daemon resumes
+    exactly where the dead process stopped.
     """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self._path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: List[Dict[str, object]] = []
-        self.dropped_tail = 0
-        self._replay()
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    # -- replay ------------------------------------------------------------
-
-    def _replay(self) -> None:
-        if not self._path.exists():
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            return
-        raw_lines = self._path.read_text(encoding="utf-8").splitlines()
-        entries: List[Dict[str, object]] = []
-        prev = GENESIS
-        for position, line in enumerate(raw_lines):
-            last = position == len(raw_lines) - 1
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError as exc:
-                if last:
-                    # The expected kill -9 artifact: a partial final line.
-                    self.dropped_tail += 1
-                    _LOG.warning(
-                        "journal %s: dropped unparseable final line (%s)",
-                        self._path, exc,
-                    )
-                    break
-                raise JournalIntegrityError(
-                    str(self._path), position, f"unparseable mid-file line: {exc}"
-                ) from exc
-            ok = (
-                isinstance(entry, dict)
-                and entry.get("prev") == prev
-                and entry.get("digest")
-                == _entry_digest(
-                    int(entry.get("seq", -1)),
-                    str(entry.get("kind", "")),
-                    str(entry.get("prev", "")),
-                    dict(entry.get("fields", {})),
-                )
-                and int(entry.get("seq", -1)) == len(entries)
-            )
-            if not ok:
-                if last:
-                    self.dropped_tail += 1
-                    _LOG.warning(
-                        "journal %s: dropped final line with broken chain",
-                        self._path,
-                    )
-                    break
-                raise JournalIntegrityError(
-                    str(self._path),
-                    position,
-                    "digest chain broken (edited or corrupted journal)",
-                )
-            entries.append(entry)
-            prev = str(entry["digest"])
-        self._entries = entries
-        if self.dropped_tail:
-            # Self-heal: rewrite the file from the verified entries so
-            # the next append extends a clean chain instead of
-            # concatenating onto the partial line the dead process left.
-            with open(self._path, "w", encoding="utf-8") as fh:
-                for entry in entries:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-
-    # -- writing -----------------------------------------------------------
-
-    def append(self, kind: str, **fields: object) -> Dict[str, object]:
-        """Durably append one entry; returns the written entry."""
-        with self._lock:
-            seq = len(self._entries)
-            prev = (
-                str(self._entries[-1]["digest"]) if self._entries else GENESIS
-            )
-            entry: Dict[str, object] = {
-                "seq": seq,
-                "ts": round(time.time(), 6),
-                "kind": kind,
-                "prev": prev,
-                "fields": dict(fields),
-                "digest": _entry_digest(seq, kind, prev, dict(fields)),
-            }
-            line = json.dumps(entry, sort_keys=True) + "\n"
-            # Open-append-fsync per entry: the journal writes once per
-            # refresh cycle (seconds-to-hours apart), so durability wins
-            # over keeping a file handle hot.
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(line)
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._entries.append(entry)
-            return entry
-
-    # -- derived state -----------------------------------------------------
-
-    def entries(self, kind: Optional[str] = None) -> List[Dict[str, object]]:
-        with self._lock:
-            return [
-                dict(e)
-                for e in self._entries
-                if kind is None or e.get("kind") == kind
-            ]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def published_digests(self) -> Set[str]:
         """Dataset digests with a ``publish`` entry (safe to skip)."""

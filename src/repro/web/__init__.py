@@ -12,6 +12,8 @@ Offline stand-in for the paper's live-web interactions (§4.3):
   final URLs through refreshes and redirects (R&R) and collects favicons.
 * :mod:`repro.web.favicon` — favicon API client (Google Favicon API shape).
 * :mod:`repro.web.blocklists` — Appendix D blocklists.
+* :mod:`repro.web.faults` — :class:`FaultyWeb`, seeded fetch faults for
+  chaos runs.
 """
 
 from .url import (
@@ -25,6 +27,7 @@ from .http import HTTPResponse, RedirectKind
 from .simweb import SimulatedWeb, Site
 from .scraper import HeadlessScraper, ScrapeResult
 from .favicon import FaviconAPI
+from .faults import FaultyWeb
 
 __all__ = [
     "ParsedURL",
@@ -39,4 +42,5 @@ __all__ = [
     "HeadlessScraper",
     "ScrapeResult",
     "FaviconAPI",
+    "FaultyWeb",
 ]

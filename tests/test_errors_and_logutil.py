@@ -15,7 +15,7 @@ from repro.errors import (
     UnknownASNError,
     WebError,
 )
-from repro.logutil import ProgressCounter, get_logger, setup_logging, timed
+from repro.logutil import get_logger, setup_logging
 
 
 class TestErrorHierarchy:
@@ -62,85 +62,3 @@ class TestLogUtil:
         setup_logging()
         setup_logging()
         assert len(logging.getLogger("repro").handlers) == 1
-
-    @pytest.fixture()
-    def propagating_repro_logger(self):
-        """setup_logging turns propagation off; caplog needs it back on."""
-        logger = logging.getLogger("repro")
-        previous = logger.propagate
-        logger.propagate = True
-        yield
-        logger.propagate = previous
-
-    def test_timed_context(self, caplog, propagating_repro_logger):
-        logger = get_logger("test.timed")
-        with caplog.at_level(logging.INFO, logger="repro.test.timed"):
-            with timed(logger, "sleepless"):
-                pass
-        assert any("sleepless took" in r.message for r in caplog.records)
-
-    def test_timed_yields_elapsed_holder(self):
-        import time
-
-        logger = get_logger("test.timed2")
-        with timed(logger, "napping") as block:
-            time.sleep(0.01)
-        assert block.label == "napping"
-        assert block.elapsed >= 0.01
-
-    def test_timed_elapsed_set_even_on_error(self):
-        logger = get_logger("test.timed3")
-        with pytest.raises(RuntimeError):
-            with timed(logger, "explodes") as block:
-                raise RuntimeError("boom")
-        assert block.elapsed > 0.0
-
-    def test_progress_counter_counts(self):
-        counter = ProgressCounter(get_logger("test.pc"), "items", every=10)
-        for _ in range(25):
-            counter.tick()
-        assert counter.count == 25
-
-    def test_progress_counter_logs_at_interval(self, caplog, propagating_repro_logger):
-        logger = get_logger("test.pc2")
-        counter = ProgressCounter(logger, "items", total=20, every=10)
-        with caplog.at_level(logging.INFO, logger="repro.test.pc2"):
-            for _ in range(20):
-                counter.tick()
-        assert sum("items:" in r.message for r in caplog.records) == 2
-
-    def test_progress_counter_done_skips_duplicate_final_line(
-        self, caplog, propagating_repro_logger
-    ):
-        logger = get_logger("test.pc3")
-        counter = ProgressCounter(logger, "items", every=10)
-        with caplog.at_level(logging.INFO, logger="repro.test.pc3"):
-            for _ in range(20):
-                counter.tick()
-            counter.done()  # 20 is a multiple of 10: tick already logged it
-        assert sum("items:" in r.message for r in caplog.records) == 2
-
-    def test_progress_counter_done_logs_partial_tail(
-        self, caplog, propagating_repro_logger
-    ):
-        logger = get_logger("test.pc4")
-        counter = ProgressCounter(logger, "items", every=10)
-        with caplog.at_level(logging.INFO, logger="repro.test.pc4"):
-            for _ in range(15):
-                counter.tick()
-            counter.done()
-        messages = [r.message for r in caplog.records if "items:" in r.message]
-        assert len(messages) == 2
-        assert "(done)" in messages[-1]
-        assert "15" in messages[-1]
-
-    def test_progress_counter_rate_in_output(
-        self, caplog, propagating_repro_logger
-    ):
-        logger = get_logger("test.pc5")
-        counter = ProgressCounter(logger, "items", every=5)
-        with caplog.at_level(logging.INFO, logger="repro.test.pc5"):
-            for _ in range(5):
-                counter.tick()
-        assert any("/s)" in r.message for r in caplog.records)
-        assert counter.rate > 0.0

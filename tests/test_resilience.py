@@ -37,12 +37,12 @@ from repro.resilience import (
     CircuitBreaker,
     FaultInjector,
     FaultyChatBackend,
-    FaultyWeb,
     RetryPolicy,
     resolve_fault_profile,
     stable_unit,
 )
 from repro.universe import generate_universe
+from repro.web.faults import FaultyWeb
 from repro.web.http import HTTPResponse
 from repro.web.scraper import HeadlessScraper
 from repro.web.simweb import SimulatedWeb

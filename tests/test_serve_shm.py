@@ -12,7 +12,6 @@ segments after stop).
 from __future__ import annotations
 
 import json
-import os
 import random
 import signal
 import socket
@@ -25,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import (
-    ServeError,
     SnapshotIntegrityError,
     UnknownASNError,
     UnknownGenerationError,
@@ -50,7 +48,6 @@ from repro.serve.shm import (
     BlobIndex,
     SegmentStore,
     read_header,
-    run_forked,
     verify_blob,
 )
 from repro.serve.shm.blob import blob_stats
@@ -267,29 +264,6 @@ class TestStoreBlobLoad:
             store.load_from_blob_file(path)
         assert not path.exists()
         assert path.with_suffix(path.suffix + ".quarantined").exists()
-
-
-# -- run_forked --------------------------------------------------------------
-
-
-class TestRunForked:
-    def test_results_come_back_in_submission_order(self):
-        thunks = [lambda i=i: i * i for i in range(6)]
-        assert run_forked(thunks, max_workers=3) == [0, 1, 4, 9, 16, 25]
-
-    def test_child_exception_is_a_serve_error(self):
-        def boom():
-            raise ValueError("intentional")
-
-        with pytest.raises(ServeError, match="intentional"):
-            run_forked([boom], max_workers=1)
-
-    def test_child_death_before_reporting_is_a_serve_error(self):
-        with pytest.raises(ServeError, match="before reporting"):
-            run_forked([lambda: os._exit(7)], max_workers=1)
-
-    def test_empty_input(self):
-        assert run_forked([], max_workers=2) == []
 
 
 # -- sharded pipeline: process workers ---------------------------------------

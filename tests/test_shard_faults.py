@@ -30,7 +30,8 @@ from repro.resilience.faults import (
     resolve_fault_profile,
     shard_fault_decision,
 )
-from repro.serve.shm.pool import ForkedOutcome, run_supervised
+from repro.resilience.policy import RetryPolicy
+from repro.runtime import run_supervised
 from repro.universe import generate_universe
 
 SMALL = UniverseConfig(seed=3, n_organizations=100)
@@ -61,6 +62,7 @@ class TestRunSupervised:
         )
         assert [o.value for o in outcomes] == [0, 10, 20, 30]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert run_supervised([], mode="process") == []
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_flaky_task_recovers_on_retry(self, mode):
@@ -122,30 +124,39 @@ class TestRunSupervised:
             return "done"
 
         (outcome,) = run_supervised(
-            [slow_but_alive],
-            mode="process",
-            deadline=5.0,
-            heartbeat_interval=0.05,
+            [slow_but_alive], mode="process", deadline=5.0
         )
         assert outcome.ok
         assert outcome.heartbeats > 0
 
-    def test_fail_fast_cancels_siblings(self):
-        def doomed(attempt: int):
-            raise RuntimeError("die early")
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_backoff_does_not_hold_a_worker_slot(self, mode):
+        """A task waiting out its retry backoff leaves its only slot to a
+        ready sibling, so the sibling lands before the backoff ends."""
+        backoff = 1.0
 
-        def slow(attempt: int):
-            time.sleep(0.2)
-            return "late"
+        def flaky(attempt: int):
+            if attempt == 0:
+                raise RuntimeError("first attempt dies")
+            return "recovered"
 
+        started = time.monotonic()
+        landed = {}
         outcomes = run_supervised(
-            [doomed] + [slow] * 3,
-            mode="thread",
+            [flaky, lambda a: "sibling"],
+            mode=mode,
             max_workers=1,
-            fail_fast=True,
+            retries=1,
+            retry_policy=RetryPolicy(
+                attempts=2, base_delay=backoff, max_delay=backoff, jitter=0.0
+            ),
+            on_outcome=lambda o: landed.setdefault(
+                o.index, time.monotonic() - started
+            ),
         )
-        assert not outcomes[0].ok
-        assert any(o.exit_reason == "cancelled" for o in outcomes[1:])
+        assert [o.value for o in outcomes] == ["recovered", "sibling"]
+        assert landed[1] < backoff
+        assert landed[0] >= backoff
 
     def test_outcome_json_round_trip(self):
         (outcome,) = run_supervised([lambda a: "x"], mode="thread")

@@ -13,8 +13,9 @@ import pytest
 
 from repro.core.mapping import OrgMapping
 from repro.errors import ConfigError
+from repro.serve.diff import diff_indexes
 from repro.serve.index import MappingIndex
-from repro.watch import GateThresholds, PublishGate, diff_indexes
+from repro.watch import GateThresholds, PublishGate
 
 
 def index_of(groups):

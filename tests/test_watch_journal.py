@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.errors import JournalIntegrityError
+from repro.runtime.journal import GENESIS
 from repro.watch import QUARANTINE_CRASHES, RunJournal
-from repro.watch.journal import GENESIS
 
 
 @pytest.fixture()
