@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """CI gate for the multi-worker serve tier.
 
-Compiles a snapshot blob, then runs the same pipelined load against a
-1-worker pool and a 4-worker pool sharing that blob behind one
+Builds a snapshot index, then runs the same pipelined load against a
+1-worker pool and a 4-worker pool sharing its blob behind one
 ``SO_REUSEPORT`` socket, with two hot swaps landing mid-run in each
 configuration.  The gate asserts, in order of importance:
 
-1. **Correctness** — every blob answer (ASN lookup, org page, sibling
-   verdict, search ranking) is byte-identical to the in-memory
-   :class:`MappingIndex` over a seeded sample of the corpus, and every
+1. **Correctness** — over the wire, the 4-worker pool's answers
+   (``/v1/asn``, ``/v1/org``, ``/v1/search``), served from the mapped
+   segment, equal the in-process :class:`MappingIndex`'s ``to_json()``
+   plus ``generation`` over a seeded sample of the corpus, and every
    request in both load runs succeeded (zero non-2xx across the swap
    windows).
 2. **Hygiene** — worker churn (one ``SIGKILL`` during the 4-worker run)
@@ -29,20 +30,17 @@ import random
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from urllib.parse import quote
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import UniverseConfig  # noqa: E402
 from repro.core import BorgesPipeline  # noqa: E402
 from repro.serve import MappingIndex  # noqa: E402
-from repro.serve.loadgen import run_pipelined  # noqa: E402
-from repro.serve.shm import (  # noqa: E402
-    BlobIndex,
-    WorkerConfig,
-    WorkerPool,
-    compile_index,
-)
+from repro.serve.loadgen import HttpConnectionPool, run_pipelined  # noqa: E402
+from repro.serve.shm.pool import WorkerConfig, WorkerPool  # noqa: E402
 from repro.universe import generate_universe  # noqa: E402
 
 MIN_SCALING_4X = 2.5
@@ -62,35 +60,53 @@ def check(condition: bool, message: str) -> None:
     print(f"  ok: {message}")
 
 
-def check_equivalence(index: MappingIndex, reader: BlobIndex) -> None:
-    """Blob answers must be byte-identical to the index's."""
+def check_wire_answers(pool: WorkerPool, index: MappingIndex) -> None:
+    """Pool answers must equal the in-process index's, plus generation.
+
+    Eight client connections spread the sample over the workers; each
+    answer comes from a worker reading its ``mmap`` of the segment.
+    """
     rng = random.Random(41)
     asns = index.asns()
     sample = rng.sample(asns, min(SAMPLE_ASNS, len(asns)))
+    generation = pool.generation
+    expected = {}
     for asn in sample:
-        expected = json.dumps(index.lookup_asn(asn).to_json())
-        actual = json.dumps(reader.lookup_asn(asn).to_json())
-        if actual != expected:
-            fail(f"asn {asn}: blob answer diverged from index")
-        org_id = index.org_of(asn).org_id
-        if json.dumps(reader.org(org_id).to_json()) != json.dumps(
-            index.org(org_id).to_json()
-        ):
-            fail(f"org {org_id}: blob answer diverged from index")
-    for _ in range(SAMPLE_QUERIES):
-        a, b = rng.choice(asns), rng.choice(asns)
-        if reader.are_siblings(a, b) != index.are_siblings(a, b):
-            fail(f"sibling verdict diverged for ({a}, {b})")
+        record = index.lookup_asn(asn)
+        org = record.org
+        expected[f"/v1/asn/{asn}"] = dict(
+            record.to_json(), generation=generation
+        )
+        expected[f"/v1/org/{org.org_id}"] = dict(
+            org.to_json(), generation=generation
+        )
     queries = {index.lookup_asn(a).org.name.split()[0] for a in sample[:40]}
     queries |= {q[:3] for q in list(queries)[:20]}  # prefix paths
     for query in sorted(queries):
-        expected = json.dumps([r.to_json() for r in index.search(query)])
-        actual = json.dumps([r.to_json() for r in reader.search(query)])
-        if actual != expected:
-            fail(f"search({query!r}) diverged")
+        expected[f"/v1/search?q={quote(query)}"] = {
+            "query": query,
+            "results": [r.to_json() for r in index.search(query)],
+            "generation": generation,
+        }
+    client = HttpConnectionPool(pool.host, pool.port, size=8)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as executor:
+            answers = dict(
+                zip(expected, executor.map(
+                    lambda path: client.request("GET", path), expected
+                ))
+            )
+    finally:
+        client.close()
+    for path, (status, body) in answers.items():
+        if status != 200:
+            fail(f"{path}: status {status}")
+        if json.loads(body) != expected[path]:
+            fail(f"{path}: pool answer diverged from the in-process index")
     print(
-        f"  ok: blob byte-identical to index over {len(sample)} ASNs, "
-        f"{SAMPLE_QUERIES} sibling pairs, {len(queries)} search queries"
+        f"  ok: pool answers equal the index over {len(sample)} ASNs, "
+        f"their orgs and {len(queries)} search queries "
+        f"({len(expected):,} distinct requests)"
     )
 
 
@@ -156,14 +172,11 @@ def main() -> None:
     index = MappingIndex.build(
         result.mapping, whois=universe.whois, pdb=universe.pdb
     )
-    blob = compile_index(index)
+    blob = bytes(index.blob)
     print(
         f"  blob: {len(blob):,} bytes for {index.asn_count:,} ASNs / "
         f"{len(index):,} orgs"
     )
-
-    print("== answer equivalence: blob reader vs MappingIndex ==")
-    check_equivalence(index, BlobIndex(blob))
 
     paths = [f"/v1/asn/{asn}" for asn in index.asns()[:512]]
     before = shm_entries()
@@ -177,6 +190,9 @@ def main() -> None:
         pool.start(blob)
         try:
             run_pipelined(pool.url, paths[:64], repeat=1)  # warm-up
+            if workers == 4:
+                print("== answers over the wire: pool vs MappingIndex ==")
+                check_wire_answers(pool, index)
             totals = drive(pool, blob, paths, DRIVE_SECONDS)
             check(
                 totals["swaps"] == 2, f"workers={workers}: 2 hot swaps landed"

@@ -1276,19 +1276,13 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
     """``borges serve --workers N``: the multi-process tier.
 
     The snapshot is loaded once (any kind ``--snapshot`` accepts, or a
-    fresh pipeline run), compiled to one read-only blob, and N forked
-    workers map it behind ``SO_REUSEPORT``.  A blob snapshot skips the
-    compile — its bytes are republished as-is.
+    fresh pipeline run) and its index blob is published as-is: N forked
+    workers map it read-only behind ``SO_REUSEPORT``.
     """
-    from .serve.shm import BlobIndex, WorkerConfig, WorkerPool, compile_index
+    from .serve.shm.pool import WorkerConfig, WorkerPool
 
     service = _build_service(args)
-    index = service.store.current().index
-    blob = (
-        bytes(index._buf)
-        if isinstance(index, BlobIndex)
-        else compile_index(index)
-    )
+    blob = bytes(service.store.current().index.blob)
     config = WorkerConfig(
         host=args.host,
         port=args.port,

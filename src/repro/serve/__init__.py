@@ -4,14 +4,16 @@ The write side of the repo (pipeline → :class:`~repro.core.OrgMapping` →
 release file) *produces* mappings; this package *answers queries* against
 them, the way downstream tools consume CAIDA's AS2Org:
 
-* :mod:`repro.serve.index` — :class:`MappingIndex`: immutable O(1)
-  ASN→org / org→members lookups plus tokenized org-name search;
+* :mod:`repro.serve.index` — :class:`MappingIndex`: the one read
+  index — a mapping lowered into one flat blob, read in place for
+  ASN→org / org→members lookups and tokenized org-name search;
 * :mod:`repro.serve.diff` — :class:`GenerationDiff`: orgs merged/split
   and ASNs moved between two indexed generations (the ``/v1/diff``
   body, and the publish gate's churn input);
 * :mod:`repro.serve.store` — :class:`SnapshotStore`: loads generations
   (pipeline results, mapping JSON, CAIDA-format release files, merge
-  artifacts) and hot-swaps them atomically, draining retired readers;
+  artifacts, compiled blob files) and hot-swaps them atomically,
+  draining retired readers;
 * :mod:`repro.serve.service` — :class:`QueryService`: batched lookups,
   an LRU response cache, and per-endpoint sub-millisecond latency
   histograms in the shared metrics registry;
@@ -26,10 +28,10 @@ them, the way downstream tools consume CAIDA's AS2Org:
   accounting and per-request trace-context propagation;
 * :mod:`repro.serve.top` — the ``borges top`` terminal dashboard,
   polling ``/metrics`` + ``/v1/admin/slo`` into a live view;
-* :mod:`repro.serve.shm` — the multi-worker tier: snapshot→blob
-  compiler, zero-copy :class:`~repro.serve.shm.BlobIndex` reader, and
-  the :class:`~repro.serve.shm.WorkerPool` supervisor forking N query
-  servers over one shared read-only mapping (``borges serve
+* :mod:`repro.serve.shm` — the multi-worker tier: the blob format,
+  shared-memory segments, and the
+  :class:`~repro.serve.shm.pool.WorkerPool` supervisor forking N query
+  servers that each map the same index blob read-only (``borges serve
   --workers N``).
 
 Observability rides through the whole stack: every HTTP response
@@ -58,14 +60,8 @@ from .service import ENDPOINTS, QueryService
 from .store import Snapshot, SnapshotStore
 from .httpd import MAX_BATCH_ASNS, MAX_CONTENT_LENGTH, QueryServer
 from .top import PoolTopView, TopView, run_top
-from .shm import (
-    BlobIndex,
-    SegmentStore,
-    WorkerConfig,
-    WorkerPool,
-    compile_index,
-    map_blob_file,
-)
+from .shm.pool import WorkerConfig, WorkerPool
+from .shm.segment import SegmentStore, map_blob_file
 
 __all__ = [
     "AdmissionController",
@@ -93,12 +89,10 @@ __all__ = [
     "MAX_BATCH_ASNS",
     "MAX_CONTENT_LENGTH",
     "QueryServer",
-    "BlobIndex",
     "HttpConnectionPool",
     "SegmentStore",
     "WorkerConfig",
     "WorkerPool",
-    "compile_index",
     "map_blob_file",
     "run_pipelined",
 ]

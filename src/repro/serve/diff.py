@@ -14,8 +14,9 @@ cluster of ASNs).  Given two generations the diff reports:
 * ``churn_fraction`` — moved / common, the publish gate's churn input.
 
 Everything is computed from the read-side :class:`MappingIndex` (the
-structure the serve tier already holds), so the HTTP ``/v1/diff``
-endpoint costs two dict sweeps, not a pipeline run.
+structure the serve tier already holds): one scan of each index's org
+rows and member spans, so the HTTP ``/v1/diff`` endpoint costs two
+linear sweeps, not a pipeline run.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .index import MappingIndex
+from .index import MappingIndex, org_handle
 
 #: Most example org handles carried per diff category in the JSON form —
 #: enough for an operator to spot-check, bounded so a pathological diff
@@ -66,44 +67,64 @@ class GenerationDiff:
         }
 
 
+def _assignment(
+    index: MappingIndex,
+) -> Tuple[List[Tuple[int, ...]], Dict[int, int]]:
+    """(members per org row, ASN → org row) from one scan of *index*."""
+    spans = list(index.org_members())
+    org_of: Dict[int, int] = {}
+    for row, members in enumerate(spans):
+        org_of.update(dict.fromkeys(members, row))
+    return spans, org_of
+
+
 def diff_indexes(old: MappingIndex, new: MappingIndex) -> GenerationDiff:
     """Diff two read-side indexes (see module docstring for semantics)."""
-    old_org_of = {asn: old.org_of(asn).org_id for asn in old.asns()}
-    new_org_of = {asn: new.org_of(asn).org_id for asn in new.asns()}
+    old_spans, old_org_of = _assignment(old)
+    new_spans, new_org_of = _assignment(new)
     common = old_org_of.keys() & new_org_of.keys()
 
-    moved = 0
+    # Every common ASN sits in one (old org, new org) pair; all ASNs of
+    # a pair share one verdict, so membership is compared once per pair.
+    pairs: Dict[Tuple[int, int], int] = {}
     for asn in common:
-        # An ASN "moved" when its sibling set changed, not merely when
-        # its handle did — handles are derived from the lowest member,
-        # so a handle change without membership change is impossible,
-        # but a membership change can keep the handle.
-        old_members = old.org(old_org_of[asn]).members
-        new_members = new.org(new_org_of[asn]).members
-        if old_members != new_members:
-            moved += 1
+        pair = (old_org_of[asn], new_org_of[asn])
+        pairs[pair] = pairs.get(pair, 0) + 1
+    # An ASN "moved" when its sibling set changed, not merely when its
+    # handle did — handles are derived from the lowest member, so a
+    # handle change without membership change is impossible, but a
+    # membership change can keep the handle.
+    moved = sum(
+        count
+        for (old_row, new_row), count in pairs.items()
+        if old_spans[old_row] != new_spans[new_row]
+    )
 
     # Merge/split detection over the common-ASN projection: restricting
     # to shared ASNs keeps universe drift (added/removed ASNs) out of
     # the merge/split counts.
-    sources_of_new: Dict[str, set] = {}
-    targets_of_old: Dict[str, set] = {}
-    for asn in common:
-        sources_of_new.setdefault(new_org_of[asn], set()).add(old_org_of[asn])
-        targets_of_old.setdefault(old_org_of[asn], set()).add(new_org_of[asn])
+    sources_of_new: Dict[int, int] = {}
+    targets_of_old: Dict[int, int] = {}
+    for old_row, new_row in pairs:
+        sources_of_new[new_row] = sources_of_new.get(new_row, 0) + 1
+        targets_of_old[old_row] = targets_of_old.get(old_row, 0) + 1
     merged: List[str] = sorted(
-        handle for handle, sources in sources_of_new.items() if len(sources) > 1
+        org_handle(new_spans[row][0])
+        for row, sources in sources_of_new.items()
+        if sources > 1
     )
     split: List[str] = sorted(
-        handle for handle, targets in targets_of_old.items() if len(targets) > 1
+        org_handle(old_spans[row][0])
+        for row, targets in targets_of_old.items()
+        if targets > 1
     )
 
     return GenerationDiff(
-        from_orgs=len(old),
-        to_orgs=len(new),
+        from_orgs=len(old_spans),
+        to_orgs=len(new_spans),
         common_asns=len(common),
-        asns_added=len(new_org_of.keys() - old_org_of.keys()),
-        asns_removed=len(old_org_of.keys() - new_org_of.keys()),
+        asns_added=len(new_org_of) - len(common),
+        asns_removed=len(old_org_of) - len(common),
         asns_moved=moved,
         orgs_merged=len(merged),
         orgs_split=len(split),

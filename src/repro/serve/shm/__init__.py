@@ -1,17 +1,14 @@
-"""Shared-memory serve tier: compiled snapshot blobs + a worker pool.
+"""Shared-memory serve tier: snapshot blobs + a worker pool.
 
 The single-process serve tier answers every lookup under one GIL.  This
-package is the process-parallel read path that breaks that ceiling:
+package is the process-parallel read path that breaks that ceiling.
+Every :class:`~repro.serve.index.MappingIndex` already *is* one flat
+blob, so a worker serves a generation by mapping that blob read-only:
 
-* :mod:`repro.serve.shm.blob` — a snapshot *compiler* that lowers a
-  :class:`~repro.serve.index.MappingIndex` into one flat,
-  offset-indexed, digest-stamped binary blob: a CHD-style minimal
-  perfect hash over ASNs, org→members spans, a sorted token table with
-  search postings, and a deduplicated string arena;
-* :mod:`repro.serve.shm.reader` — :class:`BlobIndex`, a zero-copy
-  reader reconstructing the full :class:`MappingIndex` query semantics
-  (byte-identical responses) straight off an ``mmap`` view, with lazy
-  ``__slots__`` record views instead of per-snapshot object graphs;
+* :mod:`repro.serve.shm.blob` — the blob format: a linear-probing ASN
+  slot table, org→members spans, a sorted token table with search
+  postings and a deduplicated string arena behind a digest-stamped
+  header (assembly, :func:`verify_blob`, :func:`read_header`);
 * :mod:`repro.serve.shm.segment` — blob segments as files under
   ``/dev/shm`` with an atomically-renamed generation pointer, so N
   processes map one physical copy read-only;
@@ -23,6 +20,10 @@ package is the process-parallel read path that breaks that ceiling:
 
 ``borges serve --workers N`` is the CLI entry point; ``borges top
 --pool DIR`` watches a running pool per-worker.
+
+The package namespace exports only the blob format, because
+:mod:`repro.serve.index` is built on it; import the segment store and
+the pool from their modules (or from :mod:`repro.serve`).
 """
 
 from .blob import (
@@ -31,35 +32,16 @@ from .blob import (
     BLOB_VERSION,
     BlobFormatError,
     BlobHeader,
-    compile_index,
     read_header,
     verify_blob,
 )
-from .reader import BlobAsnRecord, BlobIndex, BlobOrgRecord
-from .segment import (
-    MappedBlob,
-    SegmentStore,
-    default_shm_root,
-    map_blob_file,
-)
-from .pool import WorkerConfig, WorkerPool
 
 __all__ = [
     "BLOB_MAGIC",
     "BLOB_SUFFIX",
     "BLOB_VERSION",
-    "BlobAsnRecord",
     "BlobFormatError",
     "BlobHeader",
-    "BlobIndex",
-    "BlobOrgRecord",
-    "MappedBlob",
-    "SegmentStore",
-    "WorkerConfig",
-    "WorkerPool",
-    "compile_index",
-    "default_shm_root",
-    "map_blob_file",
     "read_header",
     "verify_blob",
 ]

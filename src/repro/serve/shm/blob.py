@@ -1,4 +1,4 @@
-"""The snapshot blob format and its compiler.
+"""The snapshot blob format: layout, assembly and verification.
 
 A blob is one flat byte string that N serve workers can map read-only
 and query without deserializing anything.  Layout::
@@ -7,8 +7,6 @@ and query without deserializing anything.  Layout::
     | header (fixed size)        |  magic, version, payload SHA-256,
     +----------------------------+  logical index digest, counts,
     | string arena               |  section offsets/lengths
-    +----------------------------+
-    | MPH g-array   (u32 × r)    |  per-bucket displacement values
     +----------------------------+
     | ASN slots     (28 B × m)   |  asn, name ref, website ref, org idx
     +----------------------------+
@@ -24,26 +22,25 @@ and query without deserializing anything.  Layout::
     +----------------------------+
 
 Everything is little-endian and offset-indexed: strings are ``(offset,
-length)`` references into the arena (deduplicated at compile time),
+length)`` references into the arena (deduplicated at build time),
 members and postings are ``(start, count)`` spans into their flat
 arrays.  There are no pointers and no per-record framing, so the same
 bytes are valid in a file, an ``mmap`` view, or a test's ``bytes``
-object.
+object.  :meth:`~repro.serve.index.MappingIndex.build` lowers a mapping
+into these bytes and :class:`~repro.serve.index.MappingIndex` reads
+them; this module owns only the format.
 
-**ASN lookup** is a CHD-style minimal perfect hash (Belazzougui,
-Botelho & Dietzfelbinger's *hash, displace, and compress*, minus the
-compress): ASNs hash into ``r ≈ n/4`` buckets; per bucket a
-displacement ``d`` is chosen so every key's slot ``mix(key ^ d·φ) % m``
-is unique and unoccupied, buckets placed largest-first.  Lookups cost
-two hashes and one slot probe; the slot stores the key, so misses are
-detected exactly.  ``m`` carries ~6% slack over ``n`` to keep the
-displacement search short; empty slots hold a sentinel key.
+**ASN lookup** is linear probing in a power-of-two slot table at most
+half full: a key starts at ``mix64(key) & (m - 1)`` and walks forward
+(wrapping) until it finds its own slot or an empty one.  Empty slots
+hold :data:`EMPTY_KEY`, which is therefore not a storable ASN; the
+slot stores the key, so misses are detected exactly.  At ≤ 50% load
+the expected probe length is 1.5 slots for a hit and 2.5 for a miss.
 
 **Integrity** is stamped twice: ``payload_sha256`` covers every byte
 after the header (a truncated or bit-flipped segment fails
 :func:`verify_blob` before it can serve), and ``index_digest`` carries
-the *logical* digest of the source :class:`MappingIndex`, so a blob
-answers ``stats()`` identically to the index it was compiled from.
+the *logical* mapping digest that ``stats()`` reports.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from ...errors import SnapshotError
 
@@ -59,37 +56,35 @@ from ...errors import SnapshotError
 BLOB_MAGIC = b"BORGBLOB"
 
 #: Bumped on any layout change; readers refuse other versions.
-BLOB_VERSION = 1
+BLOB_VERSION = 2
 
 #: Conventional filename suffix for compiled snapshot blobs.
 BLOB_SUFFIX = ".blob"
 
-#: Key stored in unused MPH slots (no real ASN is 2^64 - 1).
+#: Key stored in unused slots; no ASN may equal it (or exceed it).
 EMPTY_KEY = 0xFFFFFFFFFFFFFFFF
 
 _MASK64 = (1 << 64) - 1
-_PHI64 = 0x9E3779B97F4A7C15  # 2^64 / golden ratio; decorrelates d values
 
 # Header: magic, version, flags, total size, payload SHA-256 (raw),
-# logical index digest (hex ascii), counts (asns/orgs/tokens/buckets/
-# slots), method string ref, then (offset, length) per section in blob
-# order: arena, garray, slots, orgs, members, asns, tokens, postings.
-_HEADER = struct.Struct("<8sIIQ32s64sQQQQQII" + "QQ" * 8)
+# logical index digest (hex ascii), counts (asns/orgs/tokens/slots),
+# method string ref, then (offset, length) per section in blob order.
+_HEADER = struct.Struct("<8sIIQ32s64sQQQQII" + "QQ" * 7)
 
 _SLOT = struct.Struct("<QIIIII")  # asn, name ref, website ref, org idx
 _ORG = struct.Struct("<IIIIQIQ")  # name ref, country ref, members span, rep
 _TOKEN = struct.Struct("<IIQI")  # token ref, postings span
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 
 SLOT_SIZE = _SLOT.size
 ORG_SIZE = _ORG.size
 TOKEN_SIZE = _TOKEN.size
 HEADER_SIZE = _HEADER.size
 
+#: The bytes of one unused slot.
+EMPTY_SLOT = _SLOT.pack(EMPTY_KEY, 0, 0, 0, 0, 0)
+
 _SECTIONS = (
     "arena",
-    "garray",
     "slots",
     "orgs",
     "members",
@@ -113,12 +108,9 @@ def mix64(x: int) -> int:
     return x ^ (x >> 33)
 
 
-def _bucket_of(key: int, buckets: int) -> int:
-    return mix64(key ^ _PHI64) % buckets
-
-
-def _slot_of(key: int, d: int, slots: int) -> int:
-    return mix64(key ^ ((d * _PHI64) & _MASK64)) % slots
+def slot_count_for(keys: int) -> int:
+    """The slot-table size for *keys* ASNs: a power of two ≥ 2 × keys."""
+    return 1 << (2 * keys - 1).bit_length() if keys else 1
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,6 @@ class BlobHeader:
     asn_count: int
     org_count: int
     token_count: int
-    bucket_count: int
     slot_count: int
     method_ref: Tuple[int, int]
     sections: Dict[str, Tuple[int, int]]
@@ -142,171 +133,52 @@ class BlobHeader:
         return self.sections[name]
 
 
-def _build_mph(keys: List[int]) -> Tuple[int, int, List[int], List[Optional[int]]]:
-    """(slot count m, bucket count r, g-array, slot→key) for *keys*."""
-    n = len(keys)
-    m = n + max(1, n >> 4)  # ~6% slack keeps the displacement search short
-    r = (n // 4) + 1
-    buckets: List[List[int]] = [[] for _ in range(r)]
-    for key in keys:
-        buckets[_bucket_of(key, r)].append(key)
-    occupied = bytearray(m)
-    g = [0] * r
-    placed: List[Optional[int]] = [None] * m
-    # Largest buckets first: they need the most simultaneous free slots,
-    # so they get the emptiest table.
-    for index in sorted(range(r), key=lambda i: -len(buckets[i])):
-        bucket = buckets[index]
-        if not bucket:
-            break  # sorted by size: everything after is empty too
-        d = 1  # g == 0 marks an empty bucket, so displacements start at 1
-        while True:
-            positions = [_slot_of(key, d, m) for key in bucket]
-            if len(set(positions)) == len(positions) and not any(
-                occupied[p] for p in positions
-            ):
-                break
-            d += 1
-            if d > 0xFFFFFFFF:  # pragma: no cover — astronomically unlikely
-                raise BlobFormatError(
-                    f"perfect-hash displacement overflow in bucket {index}"
-                )
-        g[index] = d
-        for key, position in zip(bucket, positions):
-            occupied[position] = 1
-            placed[position] = key
-    return m, r, g, placed
-
-
-def compile_index(index) -> bytes:
-    """Lower a :class:`~repro.serve.index.MappingIndex` into blob bytes.
-
-    The compiler reads the index's compiled structures directly (it
-    lives in the same package as :class:`MappingIndex` and is versioned
-    with it); org order follows the index's cluster order so the stored
-    logical digest describes exactly the same structure.
-    """
-    asn_map = index._asns
-    org_map = index._orgs
-    postings_map = index._postings
-
-    arena = bytearray()
-    interned: Dict[bytes, Tuple[int, int]] = {}
-
-    def ref(text: str) -> Tuple[int, int]:
-        data = text.encode("utf-8")
-        got = interned.get(data)
-        if got is None:
-            got = (len(arena), len(data))
-            interned[data] = got
-            arena.extend(data)
-        return got
-
-    method_ref = ref(index.method)
-
-    org_ids = list(org_map)
-    org_index_of = {handle: i for i, handle in enumerate(org_ids)}
-    org_rows: List[bytes] = []
-    member_rows: List[bytes] = []
-    member_cursor = 0
-    for handle in org_ids:
-        record = org_map[handle]
-        name_off, name_len = ref(record.name)
-        country_off, country_len = ref(record.country)
-        org_rows.append(
-            _ORG.pack(
-                name_off,
-                name_len,
-                country_off,
-                country_len,
-                member_cursor,
-                len(record.members),
-                record.members[0],
-            )
-        )
-        for member in record.members:
-            member_rows.append(_U64.pack(member))
-        member_cursor += len(record.members)
-
-    keys = list(asn_map)
-    slot_count, bucket_count, g, placed = _build_mph(keys)
-    slot_rows: List[bytes] = []
-    for key in placed:
-        if key is None:
-            slot_rows.append(_SLOT.pack(EMPTY_KEY, 0, 0, 0, 0, 0))
-            continue
-        record = asn_map[key]
-        name_off, name_len = ref(record.name)
-        site_off, site_len = ref(record.website)
-        slot_rows.append(
-            _SLOT.pack(
-                key,
-                name_off,
-                name_len,
-                site_off,
-                site_len,
-                org_index_of[record.org.org_id],
-            )
-        )
-
-    asn_rows = [_U64.pack(asn) for asn in sorted(keys)]
-
-    token_rows: List[bytes] = []
-    posting_rows: List[bytes] = []
-    posting_cursor = 0
-    for token in sorted(postings_map):
-        handles = postings_map[token]
-        token_off, token_len = ref(token)
-        token_rows.append(
-            _TOKEN.pack(token_off, token_len, posting_cursor, len(handles))
-        )
-        for handle in handles:
-            posting_rows.append(_U32.pack(org_index_of[handle]))
-        posting_cursor += len(handles)
-
-    if len(arena) > 0xFFFFFFFF:  # string refs are u32
+def assemble_blob(
+    digest: str,
+    method_ref: Tuple[int, int],
+    asn_count: int,
+    org_count: int,
+    token_count: int,
+    slot_count: int,
+    sections: Dict[str, bytes],
+) -> bytes:
+    """Header + payload for already-encoded *sections* (keyed by name,
+    any bytes-like object)."""
+    if len(sections["arena"]) > 0xFFFFFFFF:  # string refs are u32
         raise BlobFormatError(
-            f"string arena of {len(arena)} bytes exceeds the 4 GiB limit"
+            f"string arena of {len(sections['arena'])} bytes exceeds the "
+            "4 GiB limit"
         )
-
-    section_bytes = {
-        "arena": bytes(arena),
-        "garray": b"".join(_U32.pack(d) for d in g),
-        "slots": b"".join(slot_rows),
-        "orgs": b"".join(org_rows),
-        "members": b"".join(member_rows),
-        "asns": b"".join(asn_rows),
-        "tokens": b"".join(token_rows),
-        "postings": b"".join(posting_rows),
-    }
-    offsets: List[Tuple[int, int]] = []
+    payload = [sections[name] for name in _SECTIONS]
+    payload_sha256 = hashlib.sha256()
+    flat = []
     cursor = HEADER_SIZE
-    for name in _SECTIONS:
-        data = section_bytes[name]
-        offsets.append((cursor, len(data)))
+    for data in payload:
+        payload_sha256.update(data)
+        flat += (cursor, len(data))
         cursor += len(data)
-    payload = b"".join(section_bytes[name] for name in _SECTIONS)
-
-    flat: List[int] = []
-    for pair in offsets:
-        flat.extend(pair)
     header = _HEADER.pack(
         BLOB_MAGIC,
         BLOB_VERSION,
         0,
-        HEADER_SIZE + len(payload),
-        hashlib.sha256(payload).digest(),
-        index.digest.encode("ascii"),
-        len(keys),
-        len(org_ids),
-        len(token_rows),
-        bucket_count,
+        cursor,
+        payload_sha256.digest(),
+        digest.encode("ascii"),
+        asn_count,
+        org_count,
+        token_count,
         slot_count,
         method_ref[0],
         method_ref[1],
         *flat,
     )
-    return header + payload
+    return b"".join([header, *payload])
+
+
+# Compatibility name: perfbench/layers.py times it as "blob.compile".
+def compile_index(index) -> bytes:
+    """The blob bytes of a built index (a copy of ``index.blob``)."""
+    return bytes(index.blob)
 
 
 def read_header(buf) -> BlobHeader:
@@ -325,7 +197,7 @@ def read_header(buf) -> BlobHeader:
             f"unsupported blob version {version} (expected {BLOB_VERSION})"
         )
     sections = {
-        name: (fields[13 + 2 * i], fields[14 + 2 * i])
+        name: (fields[12 + 2 * i], fields[13 + 2 * i])
         for i, name in enumerate(_SECTIONS)
     }
     return BlobHeader(
@@ -337,9 +209,8 @@ def read_header(buf) -> BlobHeader:
         asn_count=fields[6],
         org_count=fields[7],
         token_count=fields[8],
-        bucket_count=fields[9],
-        slot_count=fields[10],
-        method_ref=(fields[11], fields[12]),
+        slot_count=fields[9],
+        method_ref=(fields[10], fields[11]),
         sections=sections,
     )
 
@@ -348,8 +219,9 @@ def verify_blob(buf) -> BlobHeader:
     """Structural + digest verification; returns the decoded header.
 
     Checks the magic/version, the declared size against the actual
-    buffer, section bounds, and the payload SHA-256 — the same
-    fail-before-swap discipline the store applies to every other
+    buffer, section bounds, the slot table's shape (a power of two at
+    most half full, so every probe ends), and the payload SHA-256 — the
+    same fail-before-swap discipline the store applies to every other
     snapshot source.
     """
     header = read_header(buf)
@@ -370,6 +242,15 @@ def verify_blob(buf) -> BlobHeader:
     if cursor != header.blob_size:
         raise BlobFormatError(
             f"sections end at {cursor}, not the declared {header.blob_size}"
+        )
+    slots = header.slot_count
+    if (
+        slots != slot_count_for(header.asn_count)
+        or header.sections["slots"][1] != slots * SLOT_SIZE
+    ):
+        raise BlobFormatError(
+            f"slot table of {slots} slots does not fit "
+            f"{header.asn_count} ASNs at the declared layout"
         )
     actual = hashlib.sha256(
         bytes(memoryview(buf)[HEADER_SIZE:header.blob_size])

@@ -2,8 +2,8 @@
 
 The single-process serve tier tops out at one GIL's worth of lookups.
 :class:`WorkerPool` breaks that ceiling without giving up any snapshot
-semantics: the supervisor compiles each generation to a blob segment
-(one physical copy under ``/dev/shm``), and forks N worker processes
+semantics: the supervisor writes each generation's index blob as a
+segment (one physical copy under ``/dev/shm``), and forks N worker processes
 that ``mmap`` it read-only and serve the full HTTP API behind
 ``SO_REUSEPORT`` — the kernel load-balances accepted connections across
 workers, so clients see one host:port with N processes behind it.
@@ -44,7 +44,6 @@ from ...errors import ServeError
 from ...logutil import get_logger
 from ...obs import MetricsRegistry
 from ..store import DEFAULT_HISTORY_LIMIT, SnapshotStore
-from .blob import compile_index
 from .segment import MappedBlob, SegmentStore, default_shm_root
 
 _LOG = get_logger("serve.shm.pool")
@@ -359,10 +358,6 @@ class WorkerPool:
         )
         return self
 
-    def start_index(self, index) -> "WorkerPool":
-        """``start`` from a live ``MappingIndex`` (compiles the blob)."""
-        return self.start(compile_index(index))
-
     def _monitor_loop(self) -> None:
         while not self._stopping.is_set():
             self._stopping.wait(0.1)
@@ -445,9 +440,6 @@ class WorkerPool:
                 generation, len(blob),
             )
             return generation
-
-    def publish_index(self, index) -> int:
-        return self.publish(compile_index(index))
 
     def kill_worker(self, index: int, sig: int = signal.SIGKILL) -> int:
         """Hard-kill one worker (churn tests); returns the old pid."""

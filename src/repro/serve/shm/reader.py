@@ -1,347 +1,7 @@
-"""Zero-copy query semantics over a compiled snapshot blob.
+"""Compatibility module: the blob reader is
+:class:`repro.serve.index.MappingIndex`."""
 
-:class:`BlobIndex` duck-types the full :class:`~repro.serve.index.
-MappingIndex` read API — ``lookup_asn`` / ``org`` / ``org_of`` /
-``are_siblings`` / ``search`` / ``asns`` / ``stats`` and the container
-protocol — directly off any buffer (``bytes``, ``mmap``, shared
-memory).  Nothing is deserialized up front: a lookup is two hashes and
-a 28-byte struct read, and the record objects handed back
-(:class:`BlobAsnRecord` / :class:`BlobOrgRecord`) are ``__slots__``
-views that decode their strings and member spans only when accessed.
-``to_json`` produces dicts with the exact key order of the in-memory
-records, so HTTP responses are byte-identical between a worker serving
-a mapped blob and a process serving the index it was compiled from —
-the property the serve-scale CI job asserts.
+# Compatibility name: perfbench/layers.py imports BlobIndex from here.
+from ..index import MappingIndex as BlobIndex
 
-Search reproduces :meth:`MappingIndex.search` exactly: per query-token
-exact postings, a prefix expansion for the final token (length ≥ 2),
-per-token score accumulation, and the identical ``(-score, -size,
-handle)`` ranking.  The token table is sorted lexicographically, so the
-prefix expansion is a binary search plus a contiguous scan instead of
-the in-memory index's full-postings sweep.
-"""
-
-from __future__ import annotations
-
-from typing import Dict, List, Set, Tuple
-
-from ...errors import UnknownASNError, UnknownOrgError
-from ...types import ASN
-from ..index import org_handle, tokenize
-from .blob import (
-    EMPTY_KEY,
-    _ORG,
-    _PHI64,
-    _SLOT,
-    _TOKEN,
-    _U32,
-    _U64,
-    BlobHeader,
-    mix64,
-    read_header,
-    verify_blob,
-)
-
-_MASK64 = (1 << 64) - 1
-
-
-class BlobOrgRecord:
-    """Lazy view of one organization row; mirrors ``OrgRecord``."""
-
-    __slots__ = ("_index", "row")
-
-    def __init__(self, index: "BlobIndex", row: int) -> None:
-        self._index = index
-        self.row = row
-
-    @property
-    def org_id(self) -> str:
-        return org_handle(self._index._org_rep(self.row))
-
-    @property
-    def name(self) -> str:
-        fields = self._index._org_fields(self.row)
-        return self._index._string(fields[0], fields[1])
-
-    @property
-    def country(self) -> str:
-        fields = self._index._org_fields(self.row)
-        return self._index._string(fields[2], fields[3])
-
-    @property
-    def members(self) -> Tuple[ASN, ...]:
-        return self._index._org_members(self.row)
-
-    @property
-    def size(self) -> int:
-        return self._index._org_size(self.row)
-
-    def to_json(self) -> Dict[str, object]:
-        fields = self._index._org_fields(self.row)
-        return {
-            "org_id": org_handle(fields[6]),
-            "name": self._index._string(fields[0], fields[1]),
-            "country": self._index._string(fields[2], fields[3]),
-            "size": fields[5],
-            "members": list(self._index._org_members(self.row)),
-        }
-
-
-class BlobAsnRecord:
-    """Lazy view of one ASN slot; mirrors ``AsnRecord``."""
-
-    __slots__ = ("_index", "asn", "_slot")
-
-    def __init__(self, index: "BlobIndex", asn: ASN, slot: int) -> None:
-        self._index = index
-        self.asn = asn
-        self._slot = slot
-
-    @property
-    def name(self) -> str:
-        fields = self._index._slot_fields(self._slot)
-        return self._index._string(fields[1], fields[2])
-
-    @property
-    def website(self) -> str:
-        fields = self._index._slot_fields(self._slot)
-        return self._index._string(fields[3], fields[4])
-
-    @property
-    def org(self) -> BlobOrgRecord:
-        return BlobOrgRecord(
-            self._index, self._index._slot_fields(self._slot)[5]
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        fields = self._index._slot_fields(self._slot)
-        return {
-            "asn": self.asn,
-            "name": self._index._string(fields[1], fields[2]),
-            "website": self._index._string(fields[3], fields[4]),
-            "org": BlobOrgRecord(self._index, fields[5]).to_json(),
-        }
-
-
-class BlobIndex:
-    """The MappingIndex read API over one verified blob buffer.
-
-    *buf* may be ``bytes`` or any buffer (an ``mmap`` view of a segment
-    file is the intended production case).  The buffer must outlive the
-    index; when it came from :func:`~repro.serve.shm.segment.
-    map_blob_file` the mapping object is kept alive on ``_mapped``.
-    """
-
-    __slots__ = (
-        "_buf",
-        "header",
-        "method",
-        "digest",
-        "_arena_off",
-        "_garray_off",
-        "_slots_off",
-        "_orgs_off",
-        "_members_off",
-        "_asns_off",
-        "_tokens_off",
-        "_postings_off",
-        "_slot_count",
-        "_bucket_count",
-        "_mapped",
-    )
-
-    def __init__(self, buf, verify: bool = True) -> None:
-        self._buf = buf
-        self.header: BlobHeader = (
-            verify_blob(buf) if verify else read_header(buf)
-        )
-        method_off, method_len = self.header.method_ref
-        self._arena_off = self.header.section("arena")[0]
-        self._garray_off = self.header.section("garray")[0]
-        self._slots_off = self.header.section("slots")[0]
-        self._orgs_off = self.header.section("orgs")[0]
-        self._members_off = self.header.section("members")[0]
-        self._asns_off = self.header.section("asns")[0]
-        self._tokens_off = self.header.section("tokens")[0]
-        self._postings_off = self.header.section("postings")[0]
-        self._slot_count = self.header.slot_count
-        self._bucket_count = self.header.bucket_count
-        self.method = self._string(method_off, method_len)
-        self.digest = self.header.index_digest
-        self._mapped = None
-
-    # -- raw decoding ------------------------------------------------------
-
-    def _string(self, offset: int, length: int) -> str:
-        start = self._arena_off + offset
-        return bytes(self._buf[start:start + length]).decode("utf-8")
-
-    def _slot_fields(self, slot: int) -> tuple:
-        return _SLOT.unpack_from(self._buf, self._slots_off + slot * _SLOT.size)
-
-    def _org_fields(self, row: int) -> tuple:
-        return _ORG.unpack_from(self._buf, self._orgs_off + row * _ORG.size)
-
-    def _org_rep(self, row: int) -> int:
-        return self._org_fields(row)[6]
-
-    def _org_size(self, row: int) -> int:
-        return self._org_fields(row)[5]
-
-    def _org_members(self, row: int) -> Tuple[ASN, ...]:
-        fields = self._org_fields(row)
-        start = self._members_off + fields[4] * _U64.size
-        return tuple(
-            value
-            for (value,) in _U64.iter_unpack(
-                bytes(self._buf[start:start + fields[5] * _U64.size])
-            )
-        )
-
-    # -- perfect-hash ASN lookup ------------------------------------------
-
-    def _find_slot(self, asn: int) -> int:
-        """The slot holding *asn*, or -1 on a miss."""
-        if asn < 0 or asn > _MASK64 or self.header.asn_count == 0:
-            return -1
-        bucket = mix64(asn ^ _PHI64) % self._bucket_count
-        (d,) = _U32.unpack_from(
-            self._buf, self._garray_off + bucket * _U32.size
-        )
-        if d == 0:
-            return -1  # bucket never received a key
-        slot = mix64(asn ^ ((d * _PHI64) & _MASK64)) % self._slot_count
-        (stored,) = _U64.unpack_from(
-            self._buf, self._slots_off + slot * _SLOT.size
-        )
-        return slot if stored == asn else -1
-
-    # -- MappingIndex API --------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.header.org_count
-
-    def __contains__(self, asn: int) -> bool:
-        return self._find_slot(asn) >= 0
-
-    @property
-    def asn_count(self) -> int:
-        return self.header.asn_count
-
-    def asns(self) -> List[ASN]:
-        start = self._asns_off
-        end = start + self.header.asn_count * _U64.size
-        return [
-            value
-            for (value,) in _U64.iter_unpack(bytes(self._buf[start:end]))
-        ]
-
-    def lookup_asn(self, asn: ASN) -> BlobAsnRecord:
-        slot = self._find_slot(asn)
-        if slot < 0:
-            raise UnknownASNError(asn)
-        return BlobAsnRecord(self, asn, slot)
-
-    def org(self, org_id: str) -> BlobOrgRecord:
-        # Handles are derived ("BORGES-{lowest member}"), so resolving
-        # one is an ASN lookup plus a representative check — no separate
-        # org hash table needed.  The round-trip format check rejects
-        # aliases like "BORGES-007" that parse but never get minted.
-        if org_id.startswith("BORGES-"):
-            raw = org_id[len("BORGES-"):]
-            try:
-                rep = int(raw)
-            except ValueError:
-                rep = -1
-            if rep >= 0 and str(rep) == raw:
-                slot = self._find_slot(rep)
-                if slot >= 0:
-                    row = self._slot_fields(slot)[5]
-                    if self._org_rep(row) == rep:
-                        return BlobOrgRecord(self, row)
-        raise UnknownOrgError(org_id)
-
-    def org_of(self, asn: ASN) -> BlobOrgRecord:
-        return self.lookup_asn(asn).org
-
-    def are_siblings(self, a: ASN, b: ASN) -> bool:
-        left = self._find_slot(a)
-        right = self._find_slot(b)
-        return (
-            left >= 0
-            and right >= 0
-            and self._slot_fields(left)[5] == self._slot_fields(right)[5]
-        )
-
-    # -- search ------------------------------------------------------------
-
-    def _token_fields(self, row: int) -> tuple:
-        return _TOKEN.unpack_from(
-            self._buf, self._tokens_off + row * _TOKEN.size
-        )
-
-    def _token_at(self, row: int) -> str:
-        fields = self._token_fields(row)
-        return self._string(fields[0], fields[1])
-
-    def _token_postings(self, row: int) -> Tuple[int, ...]:
-        fields = self._token_fields(row)
-        start = self._postings_off + fields[2] * _U32.size
-        return tuple(
-            value
-            for (value,) in _U32.iter_unpack(
-                bytes(self._buf[start:start + fields[3] * _U32.size])
-            )
-        )
-
-    def _token_lower_bound(self, token: str) -> int:
-        """First token row ≥ *token* (bisect over the sorted table)."""
-        lo, hi = 0, self.header.token_count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._token_at(mid) < token:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def search(self, query: str, limit: int = 10) -> List[BlobOrgRecord]:
-        """Byte-identical twin of :meth:`MappingIndex.search`."""
-        tokens = tokenize(query)
-        if not tokens or limit <= 0:
-            return []
-        token_count = self.header.token_count
-        scores: Dict[int, int] = {}
-        for position, token in enumerate(tokens):
-            row = self._token_lower_bound(token)
-            matched: Set[int] = set()
-            if row < token_count and self._token_at(row) == token:
-                matched.update(self._token_postings(row))
-            if position == len(tokens) - 1 and len(token) >= 2:
-                while row < token_count and self._token_at(row).startswith(
-                    token
-                ):
-                    matched.update(self._token_postings(row))
-                    row += 1
-            for org_row in matched:
-                scores[org_row] = scores.get(org_row, 0) + 1
-        ranked = sorted(
-            scores.items(),
-            key=lambda item: (
-                -item[1],
-                -self._org_size(item[0]),
-                org_handle(self._org_rep(item[0])),
-            ),
-        )
-        return [BlobOrgRecord(self, row) for row, _ in ranked[:limit]]
-
-    # -- accounting --------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "digest": self.digest,
-            "orgs": self.header.org_count,
-            "asns": self.header.asn_count,
-            "search_tokens": self.header.token_count,
-        }
+__all__ = ["BlobIndex"]

@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ...logutil import get_logger
+from ..index import MappingIndex
 from .blob import BLOB_SUFFIX, read_header
-from .reader import BlobIndex
 
 _LOG = get_logger("serve.shm.segment")
 
@@ -53,8 +53,8 @@ def default_shm_root() -> Path:
     return Path(tempfile.gettempdir())
 
 
-def map_blob_file(path: Union[str, Path]) -> BlobIndex:
-    """Map and verify a blob file; returns a ready :class:`BlobIndex`.
+def map_blob_file(path: Union[str, Path]) -> MappingIndex:
+    """Map and verify a blob file; returns a ready :class:`MappingIndex`.
 
     The mapping object is parked on the returned index's ``_mapped``
     attribute so the memory stays valid for the index's lifetime; it is
@@ -65,7 +65,7 @@ def map_blob_file(path: Union[str, Path]) -> BlobIndex:
     with open(path, "rb") as fh:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        index = BlobIndex(mapped, verify=True)
+        index = MappingIndex(mapped, verify=True)
     except Exception:
         mapped.close()
         raise

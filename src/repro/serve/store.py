@@ -9,10 +9,12 @@ retiring list until every reader lease against them is released
 (:meth:`SnapshotStore.drain`), mirroring how a production serving tier
 drains connections before dropping a shard.
 
-Generations can come from four sources: an in-memory pipeline result, an
+Generations can come from five sources: an in-memory pipeline result, an
 ``OrgMapping`` JSON file, a CAIDA-format release file (the round-trip
-``borges release`` → ``borges serve``), or a merge-stage artifact in the
-content-addressed :class:`~repro.core.artifacts.ArtifactStore`.
+``borges release`` → ``borges serve``), a merge-stage artifact in the
+content-addressed :class:`~repro.core.artifacts.ArtifactStore`, or a
+compiled blob file.  Every one of them, and every archive time-travel
+generation, ends in the same :class:`MappingIndex` over one blob.
 
 **Integrity before swap.**  Every source is verified before it can
 become the active generation: release files check the digest header
@@ -487,11 +489,11 @@ class SnapshotStore:
         """Load a compiled snapshot blob as the active generation.
 
         The blob is mapped read-only and served *as the index* — a
-        :class:`~repro.serve.shm.reader.BlobIndex` duck-types the full
-        ``MappingIndex`` read API with byte-identical responses, so every
-        endpoint works unchanged.  Verification (magic, layout, payload
-        SHA-256) happens on map; a corrupt blob is quarantined exactly
-        like a corrupt release or mapping file.
+        :class:`MappingIndex` reads its buffer in place, so the file's
+        bytes are the whole generation.  Verification (magic, version,
+        layout, slot table, payload SHA-256) happens on map; a corrupt
+        or old-version blob is quarantined exactly like a corrupt
+        release or mapping file.
         """
         from .shm.blob import BlobFormatError
         from .shm.segment import map_blob_file

@@ -235,7 +235,7 @@ class TopView:
 
 
 class PoolTopView:
-    """Per-worker dashboard for a :class:`~repro.serve.shm.WorkerPool`.
+    """Per-worker dashboard for a :class:`~repro.serve.shm.pool.WorkerPool`.
 
     Reads the pool's state directory — ``pool.json`` for the supervisor
     posture and ``worker-N.json`` for each worker's pid and private
@@ -355,7 +355,7 @@ def run_top(
     dashboard), 0 otherwise.  Scrape failures *after* a successful first
     poll render inline instead — a restarting server is worth watching.
 
-    With *pool* set to a :class:`~repro.serve.shm.WorkerPool` state
+    With *pool* set to a :class:`~repro.serve.shm.pool.WorkerPool` state
     directory the dashboard switches to the per-worker view
     (:class:`PoolTopView`) and ``host``/``port`` are ignored.
     """

@@ -149,10 +149,10 @@ class SnapshotArchive:
         reassigned.
 
         With *index* (the already-built
-        :class:`~repro.serve.index.MappingIndex` for this mapping) a
-        compiled-blob sidecar (``gen-NNNNNN.blob``) is written **after**
-        the JSON entry is durable, so a multi-worker serve tier can map
-        the generation without re-building the index.  The sidecar is
+        :class:`~repro.serve.index.MappingIndex` for this mapping) its
+        blob is written as a sidecar (``gen-NNNNNN.blob``) **after** the
+        JSON entry is durable, so a multi-worker serve tier can map the
+        generation without re-building the index.  The sidecar is
         strictly derived data: a crash between entry and sidecar leaves
         a valid generation whose blob is simply absent (``read_blob``
         says so), never the reverse — the same crash-ordering the watch
@@ -223,10 +223,8 @@ class SnapshotArchive:
         return self.blob_path(generation).exists()
 
     def _write_blob(self, generation: int, index) -> None:
-        from ..serve.shm.blob import compile_index
-
         path = self.blob_path(generation)
-        blob = compile_index(index)
+        blob = index.blob
         try:
             with open(path, "xb") as fh:
                 fh.write(blob)

@@ -408,9 +408,9 @@ class WatchDaemon:
                 label=result.label or f"cycle {self.cycles}",
                 dataset_digest=digest,
                 meta={"gate": decision.metrics},
-                # The gate already built this generation's index; the
-                # compiled-blob sidecar lets a multi-worker serve tier
-                # map it without rebuilding.
+                # The gate already built this generation's index; its
+                # blob, archived as a sidecar, lets a multi-worker serve
+                # tier map it without rebuilding.
                 index=candidate,
             )
         except ReproError as exc:

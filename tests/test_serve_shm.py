@@ -1,16 +1,18 @@
-"""Tests for the multi-worker serve tier: blob, reader, segments, pool.
+"""Tests for the blob-backed read index and the multi-worker serve tier.
 
-The compiler/reader tests assert *byte identity*: every endpoint answer
-a :class:`BlobIndex` produces must serialize to exactly the JSON the
-in-memory :class:`MappingIndex` produces, over a seeded corpus of hits,
-misses, sibling pairs, and search queries.  The pool tests run real
-forked workers behind one SO_REUSEPORT socket and exercise hot swap,
-``kill -9`` churn mid-swap, and shared-memory hygiene (no leaked
-segments after stop).
+The index tests check every answer a :class:`MappingIndex` gives against
+a *reference* derived straight from the inputs in this file
+(:class:`OrgMapping` + :class:`WhoisDataset` + :class:`PDBSnapshot`):
+every ASN and org answer, sibling verdicts, typed misses, a brute-force
+search ranking, ``stats()``, and a brute-force generation diff.  The
+pool tests run real forked workers behind one SO_REUSEPORT socket and
+exercise hot swap, ``kill -9`` churn mid-swap, and shared-memory
+hygiene (no leaked segments after stop).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import signal
@@ -23,6 +25,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import build_as2org_mapping
+from repro.config import TEST_UNIVERSE
+from repro.core.mapping import OrgMapping
+from repro.digest import stable_digest
 from repro.errors import (
     SnapshotIntegrityError,
     UnknownASNError,
@@ -34,24 +40,26 @@ from repro.serve import (
     HttpConnectionPool,
     MappingIndex,
     QueryService,
+    SegmentStore,
     SnapshotStore,
     WorkerConfig,
     WorkerPool,
-    compile_index,
+    diff_indexes,
     map_blob_file,
     run_pipelined,
+    tokenize,
 )
+from repro.serve.diff import EXAMPLE_LIMIT
 from repro.serve.loadgen import LoadGenerator
 from repro.serve.shm import (
     BLOB_MAGIC,
     BlobFormatError,
-    BlobIndex,
-    SegmentStore,
     read_header,
     verify_blob,
 )
-from repro.serve.shm.blob import blob_stats
+from repro.serve.shm.blob import EMPTY_KEY, blob_stats
 from repro.serve.top import PoolTopView
+from repro.universe import generate_universe
 from repro.watch.archive import SnapshotArchive
 
 
@@ -70,15 +78,113 @@ def index(borges_mapping, universe):
 
 @pytest.fixture(scope="module")
 def blob(index):
-    return compile_index(index)
+    return index.blob
 
 
 @pytest.fixture(scope="module")
-def blob_index(blob):
-    return BlobIndex(blob)
+def sentinel_index():
+    """Seed 40, 200 orgs: a universe where a probe for ``EMPTY_KEY``
+    lands on an empty slot."""
+    universe = generate_universe(
+        dataclasses.replace(TEST_UNIVERSE, seed=40, n_organizations=200)
+    )
+    return MappingIndex.build(
+        build_as2org_mapping(universe.whois),
+        whois=universe.whois,
+        pdb=universe.pdb,
+    )
 
 
-# -- compiler + header -------------------------------------------------------
+# -- the reference: answers derived from the inputs alone --------------------
+
+
+def handle(members) -> str:
+    return f"BORGES-{min(members)}"
+
+
+def reference(mapping, whois, pdb):
+    """(ASN → /v1/asn body, handle → /v1/org body) from the inputs."""
+    asns, orgs = {}, {}
+    for cluster in mapping.clusters():
+        members = sorted(cluster)
+        lowest = members[0]
+        org = {
+            "org_id": handle(members),
+            "name": mapping.org_name_of(lowest),
+            "country": whois.org_of(lowest).country if lowest in whois else "",
+            "size": len(members),
+            "members": members,
+        }
+        orgs[org["org_id"]] = org
+        for asn in members:
+            name = whois.delegations[asn].name if asn in whois else ""
+            website = ""
+            if asn in pdb:
+                website = pdb.nets[asn].website
+                name = name or pdb.nets[asn].name
+            asns[asn] = {
+                "asn": asn, "name": name, "website": website, "org": org,
+            }
+    return asns, orgs
+
+
+def reference_search(orgs, query, limit):
+    """Brute force: exact tokens, plus a prefix match on the final token
+    when it has ≥ 2 characters, ordered by ``(-score, -size, handle)``."""
+    tokens = tokenize(query)
+    if not tokens or limit <= 0:
+        return []
+    ranked = []
+    for org in orgs.values():
+        words = set(tokenize(org["name"]))
+        score = 0
+        for position, token in enumerate(tokens):
+            prefix = position == len(tokens) - 1 and len(token) >= 2
+            if token in words or (
+                prefix and any(w.startswith(token) for w in words)
+            ):
+                score += 1
+        if score:
+            ranked.append((-score, -org["size"], org["org_id"], org))
+    ranked.sort(key=lambda item: item[:3])
+    return [item[3] for item in ranked[:limit]]
+
+
+def reference_diff(old: OrgMapping, new: OrgMapping) -> dict:
+    """The /v1/diff body, by brute force over both partitions."""
+    old_of = {a: frozenset(c) for c in old.clusters() for a in c}
+    new_of = {a: frozenset(c) for c in new.clusters() for a in c}
+    common = old_of.keys() & new_of.keys()
+    merged = sorted({
+        handle(c) for c in new_of.values()
+        if len({old_of[a] for a in c if a in common}) > 1
+    })
+    split = sorted({
+        handle(c) for c in old_of.values()
+        if len({new_of[a] for a in c if a in common}) > 1
+    })
+    moved = sum(1 for a in common if old_of[a] != new_of[a])
+    return {
+        "from_orgs": len(old),
+        "to_orgs": len(new),
+        "common_asns": len(common),
+        "asns_added": len(new_of.keys() - common),
+        "asns_removed": len(old_of.keys() - common),
+        "asns_moved": moved,
+        "orgs_merged": len(merged),
+        "orgs_split": len(split),
+        "churn_fraction": round(moved / len(common), 6) if common else 0.0,
+        "merged_examples": merged[:EXAMPLE_LIMIT],
+        "split_examples": split[:EXAMPLE_LIMIT],
+    }
+
+
+@pytest.fixture(scope="module")
+def expected(borges_mapping, universe):
+    return reference(borges_mapping, universe.whois, universe.pdb)
+
+
+# -- blob format -------------------------------------------------------------
 
 
 class TestBlobFormat:
@@ -93,8 +199,11 @@ class TestBlobFormat:
     def test_verify_accepts_a_good_blob(self, blob):
         verify_blob(blob)
 
-    def test_compile_is_deterministic(self, index):
-        assert compile_index(index) == compile_index(index)
+    def test_compile_is_deterministic(self, borges_mapping, universe, blob):
+        rebuilt = MappingIndex.build(
+            borges_mapping, whois=universe.whois, pdb=universe.pdb
+        )
+        assert rebuilt.blob == blob
 
     def test_truncated_blob_is_rejected(self, blob):
         with pytest.raises(BlobFormatError):
@@ -107,6 +216,22 @@ class TestBlobFormat:
         with pytest.raises(BlobFormatError, match="magic"):
             read_header(bad)
 
+    def test_version_1_blob_is_rejected(self, blob):
+        old = blob[:8] + struct.pack("<I", 1) + blob[12:]
+        with pytest.raises(BlobFormatError, match="version 1"):
+            verify_blob(old)
+
+    def test_shrunken_slot_table_is_rejected(self, blob):
+        # The header is outside the payload digest; a slot count that
+        # no longer fits the ASN count must still fail before serving.
+        header = read_header(blob)
+        field = struct.calcsize("<8sIIQ32s64sQQQ")  # offset of the slot count
+        assert struct.unpack_from("<Q", blob, field)[0] == header.slot_count
+        bad = bytearray(blob)
+        struct.pack_into("<Q", bad, field, header.slot_count // 2)
+        with pytest.raises(BlobFormatError, match="slot table"):
+            verify_blob(bytes(bad))
+
     def test_payload_corruption_fails_the_digest(self, blob):
         mutated = bytearray(blob)
         mutated[-10] ^= 0xFF
@@ -118,54 +243,88 @@ class TestBlobFormat:
         assert stats["asns"] == index.asn_count
         assert stats["bytes"] == len(blob)
         assert set(stats["sections"]) >= {"arena", "slots", "postings"}
+        assert "garray" not in stats["sections"]
+
+    def test_slot_table_is_at_most_half_full(self, blob, index):
+        slots = read_header(blob).slot_count
+        assert slots & (slots - 1) == 0
+        assert 2 * index.asn_count <= slots
+
+    def test_build_refuses_unstorable_asns(self):
+        for bad in (EMPTY_KEY, 2**64, -1):
+            mapping = OrgMapping(universe=[1, bad], clusters=[], method="t")
+            with pytest.raises(BlobFormatError, match="storable"):
+                MappingIndex.build(mapping)
+
+    def test_empty_mapping_builds_an_empty_index(self):
+        index = MappingIndex.build(OrgMapping(universe=[], clusters=[]))
+        assert len(index) == 0 and index.asns() == []
+        assert 1 not in index
+        assert index.search("anything") == []
+        assert MappingIndex(index.blob).digest == index.digest
 
 
-# -- reader: byte identity against MappingIndex ------------------------------
+# -- the index against the reference -----------------------------------------
 
 
 class TestBlobIndexEquivalence:
-    def test_every_asn_answer_is_byte_identical(self, blob_index, index):
-        for asn in index.asns():
-            expected = json.dumps(index.lookup_asn(asn).to_json())
-            actual = json.dumps(blob_index.lookup_asn(asn).to_json())
-            assert actual == expected, f"asn {asn} diverged"
+    def test_every_asn_answer_is_byte_identical(self, index, expected):
+        asns, _ = expected
+        assert index.asns() == sorted(asns)
+        for asn, body in asns.items():
+            actual = json.dumps(index.lookup_asn(asn).to_json())
+            assert actual == json.dumps(body), f"asn {asn} diverged"
+            assert asn in index
 
-    def test_every_org_answer_is_byte_identical(self, blob_index, index):
-        for asn in index.asns():
-            org_id = index.org_of(asn).org_id
-            expected = json.dumps(index.org(org_id).to_json())
-            actual = json.dumps(blob_index.org(org_id).to_json())
-            assert actual == expected, f"org {org_id} diverged"
+    def test_every_org_answer_is_byte_identical(self, index, expected):
+        _, orgs = expected
+        for org_id, body in orgs.items():
+            actual = json.dumps(index.org(org_id).to_json())
+            assert actual == json.dumps(body), f"org {org_id} diverged"
+            assert index.org_of(body["members"][-1]).org_id == org_id
 
-    def test_misses_raise_the_same_typed_errors(self, blob_index, index):
+    def test_misses_raise_the_same_typed_errors(self, index, sentinel_index):
         rng = random.Random(13)
-        present = set(index.asns())
-        misses = 0
-        while misses < 50:
-            asn = rng.randrange(1, 4_000_000_000)
-            if asn in present:
-                continue
-            misses += 1
-            assert asn not in blob_index
-            with pytest.raises(UnknownASNError):
-                blob_index.lookup_asn(asn)
-        for bad in ("BORGES-0", "BORGES-007", "bogus", "BORGES-", "ORG-9"):
-            with pytest.raises(UnknownOrgError):
-                blob_index.org(bad)
+        for idx in (index, sentinel_index):
+            present = set(idx.asns())
+            known = next(iter(present))
+            misses = [-1, 2**32, EMPTY_KEY, 2**64]
+            while len(misses) < 54:
+                asn = rng.randrange(1, 4_000_000_000)
+                if asn not in present:
+                    misses.append(asn)
+            for asn in misses:
+                assert asn not in idx
+                with pytest.raises(UnknownASNError):
+                    idx.lookup_asn(asn)
+                assert not idx.are_siblings(asn, asn)
+                assert not idx.are_siblings(asn, known)
+                assert not idx.are_siblings(known, asn)
+            for bad in ("BORGES-0", "BORGES-007", "bogus", "BORGES-", "ORG-9"):
+                with pytest.raises(UnknownOrgError):
+                    idx.org(bad)
 
-    def test_sibling_verdicts_match(self, blob_index, index):
+    def test_sibling_verdicts_match(self, index, expected):
+        asns, _ = expected
         rng = random.Random(17)
-        asns = index.asns()
-        for _ in range(300):
-            a, b = rng.choice(asns), rng.choice(asns)
-            assert blob_index.are_siblings(a, b) == index.are_siblings(a, b)
+        population = sorted(asns)
+        pairs = [
+            (rng.choice(population), rng.choice(population))
+            for _ in range(300)
+        ]
+        for body in list(asns.values())[:50]:
+            members = body["org"]["members"]
+            pairs.append((members[0], members[-1]))
+        for a, b in pairs:
+            truth = asns[a]["org"]["org_id"] == asns[b]["org"]["org_id"]
+            assert index.are_siblings(a, b) == truth, (a, b)
 
-    def test_search_is_byte_identical(self, blob_index, index):
+    def test_search_is_byte_identical(self, index, expected):
+        asns, orgs = expected
         rng = random.Random(19)
         queries = set()
-        for asn in rng.sample(index.asns(), 60):
-            name = index.lookup_asn(asn).org.name
-            words = name.split()
+        for asn in rng.sample(sorted(asns), 60):
+            words = asns[asn]["org"]["name"].split()
             queries.add(words[0])
             queries.add(words[0][:3])  # prefix expansion path
             if len(words) > 1:
@@ -173,19 +332,60 @@ class TestBlobIndexEquivalence:
         queries.update(["zz-no-such-org", "a", ""])
         for query in sorted(queries):
             for limit in (1, 5, 25):
-                expected = json.dumps(
+                want = json.dumps(reference_search(orgs, query, limit))
+                got = json.dumps(
                     [r.to_json() for r in index.search(query, limit=limit)]
                 )
-                actual = json.dumps(
-                    [r.to_json() for r in blob_index.search(query, limit=limit)]
-                )
-                assert actual == expected, f"search({query!r}, {limit})"
+                assert got == want, f"search({query!r}, {limit})"
 
-    def test_stats_and_len_match(self, blob_index, index):
-        assert blob_index.stats() == index.stats()
-        assert blob_index.method == index.method
-        assert len(blob_index) == len(index)
-        assert blob_index.asns() == index.asns()
+    def test_stats_and_len_match(self, index, borges_mapping, expected):
+        _, orgs = expected
+        tokens = set()
+        for org in orgs.values():
+            tokens.update(tokenize(org["name"]))
+        assert index.stats() == {
+            "method": borges_mapping.method,
+            "digest": stable_digest(
+                {
+                    "method": borges_mapping.method,
+                    "clusters": [
+                        sorted(c) for c in borges_mapping.clusters()
+                    ],
+                }
+            ),
+            "orgs": len(borges_mapping),
+            "asns": borges_mapping.universe_size,
+            "search_tokens": len(tokens),
+        }
+        assert len(index) == len(orgs)
+        assert index.asn_count == len(index.asns())
+
+    def test_diff_matches_a_brute_force_diff(
+        self, borges_mapping, as2org_mapping, universe
+    ):
+        # Hand-built: a merge, a split, a moved ASN, one added, one removed.
+        old = OrgMapping(
+            universe=range(1, 11),
+            clusters=[{1, 2}, {3, 4}, {5, 6, 7}, {9, 10}],
+            method="old",
+        )
+        new = OrgMapping(
+            universe=[*range(1, 10), 11],
+            clusters=[{1, 2, 3, 4}, {6, 7}, {8, 11}],
+            method="new",
+        )
+        cases = [
+            (old, new),
+            (new, old),
+            (as2org_mapping, borges_mapping),
+            (borges_mapping, as2org_mapping),
+        ]
+        for before, after in cases:
+            got = diff_indexes(
+                MappingIndex.build(before, whois=universe.whois),
+                MappingIndex.build(after, whois=universe.whois),
+            ).to_json()
+            assert got == reference_diff(before, after)
 
     def test_query_service_accepts_a_blob_snapshot(
         self, blob, index, registry, tmp_path
@@ -315,7 +515,7 @@ class TestArchiveBlobSidecar:
         generation = entry["archive_generation"]
         assert archive.has_blob(generation)
         raw = archive.read_blob(generation)
-        assert BlobIndex(raw).digest == index.digest
+        assert MappingIndex(raw).digest == index.digest
 
     def test_publish_without_index_has_no_sidecar(
         self, borges_mapping, registry, tmp_path
