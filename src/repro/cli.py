@@ -785,10 +785,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "note: no web driver for dataset files — running with "
                 "features oid_p + notes_aka"
             )
-        pipeline = BorgesPipeline(whois, pdb, web, config, artifact_store=store)
     else:
         universe = generate_universe(_universe_config(args))
         whois, pdb, web = universe.whois, universe.pdb, universe.web
+    if args.explain_plan or args.shards <= 1:
+        # A sharded run digests each shard, never the whole universe.
         pipeline = BorgesPipeline(whois, pdb, web, config, artifact_store=store)
     if args.explain_plan:
         print(pipeline.explain_plan(args.stages))

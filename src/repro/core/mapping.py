@@ -35,13 +35,15 @@ class OrgMapping:
         only contains delegated networks).  Universe ASNs not covered by
         any cluster become singleton organizations.
         """
-        self._universe: Set[ASN] = {int(a) for a in universe}
+        universe_set: Set[ASN] = {int(a) for a in universe}
         self._method = method
         merged = merge_clusters([clusters])
-        self._clusters: List[Cluster] = []
+        # Multi-ASN organizations, largest first.  Singletons stay bare
+        # ASNs (a frozenset costs ~200 bytes) and become clusters on demand.
+        self._multi: List[Cluster] = []
         covered: Set[ASN] = set()
         for cluster in merged:
-            kept = frozenset(a for a in cluster if a in self._universe)
+            kept = frozenset(a for a in cluster if a in universe_set)
             if not kept:
                 continue
             overlap = kept & covered
@@ -50,21 +52,23 @@ class OrgMapping:
                     f"ASNs in two clusters after merge: {sorted(overlap)[:5]}"
                 )
             covered |= kept
-            self._clusters.append(kept)
-        for asn in sorted(self._universe - covered):
-            self._clusters.append(frozenset((asn,)))
-        self._clusters.sort(key=lambda c: (-len(c), min(c)))
+            if len(kept) > 1:
+                self._multi.append(kept)
+        self._multi.sort(key=lambda c: (-len(c), min(c)))
+        self._singles = sorted(universe_set.difference(*self._multi))
+        # Org index of every ASN: the multi-ASN orgs, then the singletons.
         self._by_asn: Dict[ASN, int] = {}
-        for index, cluster in enumerate(self._clusters):
+        for index, cluster in enumerate(self._multi):
             for asn in cluster:
                 self._by_asn[asn] = index
+        for index, asn in enumerate(self._singles, len(self._multi)):
+            self._by_asn[asn] = index
         #: Optional display names per ASN (the WHOIS/PDB org names).
         self._org_names = dict(org_names or {})
-        # Lazily-built per-cluster caches.  The mapping is immutable after
-        # construction, so each is computed at most once; read paths that
-        # hammer these (the serve index, metrics) become O(1) per call.
+        # Lazily-built per-cluster cache.  The mapping is immutable after
+        # construction, so it is computed at most once; read paths that
+        # hammer it (the serve index, metrics) become O(1) per call.
         self._display_names: Optional[List[str]] = None
-        self._sizes: Optional[List[int]] = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -74,26 +78,26 @@ class OrgMapping:
 
     @property
     def universe_size(self) -> int:
-        return len(self._universe)
+        return len(self._by_asn)
 
     def __len__(self) -> int:
         """Number of organizations (including singletons)."""
-        return len(self._clusters)
+        return len(self._multi) + len(self._singles)
 
     def __contains__(self, asn: int) -> bool:
-        return asn in self._universe
+        return asn in self._by_asn
 
     def clusters(self) -> List[Cluster]:
-        return list(self._clusters)
+        return self._multi + [frozenset((asn,)) for asn in self._singles]
 
     def multi_asn_clusters(self) -> List[Cluster]:
-        return [c for c in self._clusters if len(c) > 1]
+        return list(self._multi)
 
     def cluster_of(self, asn: ASN) -> Cluster:
-        try:
-            return self._clusters[self._by_asn[asn]]
-        except KeyError:
-            raise UnknownASNError(asn) from None
+        index = self.org_index_of(asn)
+        if index < len(self._multi):
+            return self._multi[index]
+        return frozenset((asn,))
 
     def org_index_of(self, asn: ASN) -> int:
         try:
@@ -108,15 +112,13 @@ class OrgMapping:
 
     def sizes(self) -> List[int]:
         """Cluster sizes, descending — the θ input."""
-        if self._sizes is None:
-            self._sizes = [len(c) for c in self._clusters]
-        return list(self._sizes)
+        return [len(c) for c in self._multi] + [1] * len(self._singles)
 
     def _display_name_of(self, index: int) -> str:
         """Display name for cluster *index*, built once per cluster."""
         if self._display_names is None:
             names: List[str] = []
-            for cluster in self._clusters:
+            for cluster in self.clusters():
                 chosen = ""
                 for member in sorted(cluster):
                     name = self._org_names.get(member)
@@ -152,15 +154,15 @@ class OrgMapping:
         The unit Table 7 counts: organizations whose composition changed.
         """
         baseline_set = set(baseline.clusters())
-        return [c for c in self._clusters if c not in baseline_set]
+        return [c for c in self.clusters() if c not in baseline_set]
 
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:
         return {
             "method": self._method,
-            "universe": sorted(self._universe),
-            "clusters": [sorted(c) for c in self._clusters if len(c) > 1],
+            "universe": sorted(self._by_asn),
+            "clusters": [sorted(c) for c in self._multi],
             "org_names": {str(k): v for k, v in self._org_names.items()},
         }
 

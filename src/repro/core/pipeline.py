@@ -180,14 +180,16 @@ class BorgesPipeline:
         self._metric_labels: Dict[str, str] = {
             str(k): str(v) for k, v in (metric_labels or {}).items()
         }
+        self._tracer = tracer
+        self._registry = registry
         # Digests anchor artifact fingerprints; the web digest is taken
         # before any fault wrapper so chaos cannot silently change the
         # address of a clean artifact (the fault salt does that, loudly).
-        self._dataset_digests = {
-            "whois": dataset_digest(whois),
-            "pdb": dataset_digest(pdb),
-            "web": dataset_digest(web),
-        }
+        self._dataset_digests: Dict[str, str] = {}
+        with self._spans.span("pipeline.digest"):
+            for name, dataset in (("whois", whois), ("pdb", pdb), ("web", web)):
+                with self._spans.span("digest." + name):
+                    self._dataset_digests[name] = dataset_digest(dataset)
         resilience = self._config.resilience
         self._fault_profile = resolve_fault_profile(resilience.fault_profile)
         self._fault_injector: Optional[FaultInjector] = None
@@ -214,8 +216,6 @@ class BorgesPipeline:
             registry=registry,
             injector=self._fault_injector,
         )
-        self._tracer = tracer
-        self._registry = registry
         self._artifact_store = artifact_store
         self._scraper = HeadlessScraper(
             web, config=self._config.scraper, registry=registry,
@@ -321,13 +321,13 @@ class BorgesPipeline:
         *stages* optionally restricts the run to a stage subset plus its
         transitive dependencies and the backbone (the CLI's ``--stages``).
         """
-        store = self._run_store()
-        executor = self._make_executor(store, stages)
         with self._spans.span(
             "pipeline.run", features=sorted(self._config.features)
         ):
+            store = self._run_store()
+            executor = self._make_executor(store, stages)
             outcome = executor.execute()
-        return self._assemble_result(executor, outcome, store)
+            return self._assemble_result(executor, outcome, store)
 
     def _assemble_result(
         self,

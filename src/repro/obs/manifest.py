@@ -11,13 +11,13 @@ carry stage-level timing.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..digest import canonical_json
 from .registry import MetricsRegistry, get_registry
 from .tracer import Tracer, get_tracer
 
@@ -25,19 +25,8 @@ MANIFEST_SCHEMA_VERSION = 1
 
 
 def _jsonable(value: object) -> object:
-    """Coerce config values (frozensets, tuples, dataclasses) to JSON."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    """*value* as plain JSON data, in the canonical form of :mod:`repro.digest`."""
+    return json.loads(canonical_json(value))
 
 
 def config_fingerprint(config: object) -> str:

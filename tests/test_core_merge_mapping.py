@@ -138,3 +138,12 @@ class TestOrgMapping:
 
     def test_universe_size(self):
         assert self.make().universe_size == 6
+
+    def test_org_order_indices_and_singleton_names(self):
+        mapping = self.make()
+        assert mapping.clusters() == [
+            frozenset({1, 2, 3}), frozenset({4}), frozenset({5}), frozenset({6}),
+        ]
+        assert [mapping.org_index_of(a) for a in range(1, 7)] == [0, 0, 0, 1, 2, 3]
+        assert mapping.org_name_of(5) == "Solo"
+        assert mapping.to_json()["universe"] == [1, 2, 3, 4, 5, 6]

@@ -1,6 +1,7 @@
 """Tests for the observability subsystem: registry, tracer, exporters."""
 
 import json
+import time
 
 import pytest
 
@@ -279,6 +280,27 @@ class TestPipelineInstrumentation:
     def test_org_gauge_matches_mapping(self, traced_run):
         _, result, registry, _ = traced_run
         assert registry.value("pipeline_orgs") == len(result.mapping)
+
+    def test_root_spans_cover_construct_and_run(self):
+        """Construction's dataset digests get their own root span, so the
+        roots account for (nearly) every second of construct + run."""
+        coverage = []
+        for _ in range(3):  # best of three absorbs one host stall
+            universe = generate_universe(TEST_UNIVERSE)
+            tracer = Tracer()
+            started = time.perf_counter()
+            BorgesPipeline(
+                universe.whois, universe.pdb, universe.web,
+                tracer=tracer, registry=MetricsRegistry(),
+            ).run()
+            wall = time.perf_counter() - started
+            roots = tracer.spans()
+            assert [s.name for s in roots] == ["pipeline.digest", "pipeline.run"]
+            assert [c.name for c in roots[0].children] == [
+                "digest.whois", "digest.pdb", "digest.web",
+            ]
+            coverage.append(sum(s.duration for s in roots) / wall)
+        assert max(coverage) >= 0.95
 
 
 class TestAcceptanceManifest:

@@ -366,6 +366,37 @@ def test_cli_run_sharded(capsys):
     assert "peak rss:" in out
 
 
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ([], "full"),  # unsharded: the full universe, once
+        (["--shards", "2"], "shards"),  # sharded: each shard's slice only
+        (["--shards", "2", "--explain-plan"], "full"),  # the plan needs it
+    ],
+)
+def test_cli_run_digests_only_what_it_runs(monkeypatch, capsys, extra, expected):
+    import repro.core.pipeline as pipeline_mod
+    from repro.cli import main
+
+    sizes = []
+    real = pipeline_mod.dataset_digest
+
+    def spy(obj):
+        if hasattr(obj, "delegations"):
+            sizes.append(len(obj.delegations))
+        return real(obj)
+
+    monkeypatch.setattr(pipeline_mod, "dataset_digest", spy)
+    assert main(["--seed", "5", "--orgs", "100", "run"] + extra) == 0
+    full = len(generate_universe(UniverseConfig(seed=5, n_organizations=100)).whois)
+    if expected == "full":
+        assert sizes == [full]
+    else:
+        assert len(sizes) == 2 and sum(sizes) == full
+    out = capsys.readouterr().out
+    assert ("(* = backbone stage" in out) == ("--explain-plan" in extra)
+
+
 def test_cli_generate_stream_matches_plain(tmp_path, capsys):
     from repro.cli import main
 
