@@ -9,40 +9,14 @@ doubles as the paper-reproduction harness.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
 from repro.experiments import ExperimentContext
-
-#: Set this to a directory to write one telemetry manifest per bench —
-#: stage-level spans and metrics land next to the pytest-benchmark JSON,
-#: so BENCH_* trajectories carry per-stage timing, not just totals.
-TELEMETRY_ENV = "BORGES_BENCH_TELEMETRY"
 
 
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
     return ExperimentContext.build()
-
-
-def _write_bench_manifest(ctx, experiment_id: str) -> None:
-    out_dir = os.environ.get(TELEMETRY_ENV)
-    if not out_dir:
-        return
-    from repro.obs import build_manifest, write_manifest
-
-    manifest = build_manifest(
-        config=ctx.pipeline.config,
-        result=ctx.result,
-        client=ctx.pipeline.client,
-        extra={"bench": experiment_id},
-    )
-    path = write_manifest(
-        Path(out_dir) / f"manifest_{experiment_id}.json", manifest
-    )
-    print(f"telemetry manifest written to {path}")
 
 
 def run_and_render(benchmark, ctx, experiment_id, max_rows=25):
@@ -56,5 +30,4 @@ def run_and_render(benchmark, ctx, experiment_id, max_rows=25):
     )
     print()
     print(report.render(max_rows=max_rows))
-    _write_bench_manifest(ctx, experiment_id)
     return report

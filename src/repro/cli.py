@@ -650,9 +650,10 @@ def _universe_config(args: argparse.Namespace) -> UniverseConfig:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .obs import record_peak_rss
+
     out: Path = args.out
     if args.stream:
-        from .obs import record_peak_rss
         from .universe import export_universe_streaming
 
         def progress(index: int, total: int, asns: int) -> None:
@@ -662,20 +663,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         summary = export_universe_streaming(
             _universe_config(args), out, progress=progress
         )
-        peak = record_peak_rss()
         print(f"exported universe (seed {args.seed}) to {out}/ [streamed]")
         for key, value in sorted(summary.items()):
             print(f"  {key}: {value:,}")
-        print(f"  peak_rss_mib: {peak / (1 << 20):,.0f}")
-        return 0
-    universe = generate_universe(_universe_config(args))
-    out.mkdir(parents=True, exist_ok=True)
-    save_snapshot(universe.pdb, out / "peeringdb_snapshot.json")
-    save_as2org_file(universe.whois, out / "as2org.jsonl")
-    universe.apnic.save_csv(out / "apnic_population.csv")
-    print(f"exported universe (seed {args.seed}) to {out}/")
-    for key, value in sorted(universe.summary().items()):
-        print(f"  {key}: {value:,.0f}")
+    else:
+        universe = generate_universe(_universe_config(args))
+        out.mkdir(parents=True, exist_ok=True)
+        save_snapshot(universe.pdb, out / "peeringdb_snapshot.json")
+        save_as2org_file(universe.whois, out / "as2org.jsonl")
+        universe.apnic.save_csv(out / "apnic_population.csv")
+        print(f"exported universe (seed {args.seed}) to {out}/")
+        for key, value in sorted(universe.summary().items()):
+            print(f"  {key}: {value:,.0f}")
+    print(f"  peak_rss_mib: {record_peak_rss() / (1 << 20):,.0f}")
     return 0
 
 

@@ -71,7 +71,12 @@ class _ResponseLRU:
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        try:
+            self._entries.move_to_end(key)
+        except KeyError:
+            # A put on another handler thread evicted the key after the
+            # read above; the value is already in hand, so it is a hit.
+            pass
         self.hits += 1
         return entry
 

@@ -587,22 +587,19 @@ class TestPipelineDegradation:
         stats_2 = second.diagnostics["resilience"].get("faults_injected")
         assert stats_1 == stats_2 and stats_1  # chaos actually fired
 
-    def test_flaky_profile_preserves_results(self, small_universe, borges_result):
+    def test_burst_profile_costs_features_never_the_run(self, small_universe):
         config = dataclasses.replace(
             BorgesConfig(),
             resilience=dataclasses.replace(
-                FAST_RESILIENCE, fault_profile="flaky"
+                FAST_RESILIENCE, fault_profile="burst"
             ),
         )
-        pipeline = BorgesPipeline(
+        result = BorgesPipeline(
             small_universe.whois, small_universe.pdb, small_universe.web,
             config, registry=MetricsRegistry(),
-        )
-        result = pipeline.run()
-        assert result.degraded is False
-        assert result.mapping.clusters() == borges_result.mapping.clusters()
-        injected = result.diagnostics["resilience"]["faults_injected"]
-        assert sum(injected.values()) > 0  # faults fired, and were masked
+        ).run()
+        assert "oid_w" in result.features and len(result.mapping) > 0
+        assert result.diagnostics["resilience"]["faults_injected"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 
 import pytest
 
@@ -225,6 +226,23 @@ class TestQueryService:
         assert registry.value(
             "serve_requests_total", endpoint="asn", status="ok"
         ) == 2.0
+
+    def test_cache_hit_survives_a_concurrent_eviction(
+        self, borges_mapping, registry
+    ):
+        """An eviction between the LRU's read and its reorder is a hit."""
+
+        class EvictedAfterRead(OrderedDict):
+            def get(self, key, default=None):
+                # Another thread's put evicts the key right after this read.
+                return self.pop(key, default)
+
+        service = make_service(borges_mapping, registry)
+        asn = service.store.current().index.asns()[0]
+        first = service.lookup_asn(asn)
+        service._cache._entries = EvictedAfterRead(service._cache._entries)
+        assert service.lookup_asn(asn) == first
+        assert service._cache.stats()["hits"] == 1
 
     def test_batch_lookup_tolerates_unknowns(self, borges_mapping, registry):
         service = make_service(borges_mapping, registry)

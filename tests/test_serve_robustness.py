@@ -135,7 +135,7 @@ class TestAdmissionController:
 
     def test_release_wakes_queued_waiter(self, registry):
         gate = AdmissionController(
-            AdmissionLimits(max_inflight=1, max_queue=2, default_deadline=5.0),
+            AdmissionLimits(max_inflight=1, max_queue=1, default_deadline=5.0),
             registry=registry,
         )
         ticket = gate.admit("asn")
@@ -153,6 +153,12 @@ class TestAdmissionController:
             assert time.monotonic() < deadline, "waiter never queued"
             time.sleep(0.001)
         assert not admitted.is_set()
+        # With the queue full a newcomer is shed at once, not after the
+        # 5 s deadline it would have waited out in the queue.
+        started = time.monotonic()
+        with pytest.raises(OverloadedError):
+            gate.admit("asn")
+        assert time.monotonic() - started < 1.0
         ticket.__exit__(None, None, None)
         assert admitted.wait(timeout=5.0)
         thread.join(timeout=5.0)
@@ -540,11 +546,15 @@ class TestOverloadLoadgen:
         generator = LoadGenerator(
             service, service.store.current().index.asns(), seed=3
         )
+        unloaded = generator.run_overload(40, workers=1, herd_size=0)
+        assert unloaded.classes["429"] == 0, "one client must not be shed"
         report = generator.run_overload(
             240, workers=8, herd_size=10, backoff_seconds=0.002
         )
         assert report.classes["5xx"] == 0
         assert report.classes["429"] > 0
+        # Surplus load is shed on arrival, never left to expire queued.
+        assert report.classes["deadline"] == 0
         assert report.classes["2xx"] == report.ok
         assert sum(report.classes.values()) == report.requests
         assert report.admitted_p99 >= report.admitted_p50 > 0.0

@@ -470,24 +470,6 @@ class TestStoreBlobLoad:
 
 
 class TestShardProcessWorkers:
-    def test_process_mode_is_byte_identical_to_thread_mode(self, universe):
-        from repro.config import BorgesConfig
-        from repro.core.pipeline import run_sharded
-        from repro.digest import stable_digest
-
-        results = {}
-        for mode in ("thread", "process"):
-            result = run_sharded(
-                universe.whois,
-                universe.pdb,
-                universe.web,
-                BorgesConfig(),
-                n_shards=2,
-                shard_workers=mode,
-            )
-            results[mode] = stable_digest(result.mapping.to_json())
-        assert results["process"] == results["thread"]
-
     def test_invalid_mode_is_rejected(self, universe):
         from repro.config import BorgesConfig
         from repro.core.pipeline import run_sharded

@@ -8,7 +8,9 @@ The contract under test is *graceful degradation with exact recovery*:
 * the salvaged mapping equals the unsharded mapping restricted to the
   surviving shards' ASNs — no invented knowledge about dead shards;
 * with a checkpoint, ``resume=True`` re-runs only the missing shards and
-  converges to a mapping byte-identical to the uninterrupted run;
+  converges to a mapping byte-identical to the uninterrupted run (a leg
+  of the equivalence matrix in ``tests/test_equivalence.py``, like
+  ``shard-flaky`` retry recovery);
 * the supervised fan-out never blocks past ``deadline × (retries + 1)``
   (plus backoff) per task.
 """
@@ -40,12 +42,6 @@ SMALL = UniverseConfig(seed=3, n_organizations=100)
 @pytest.fixture(scope="module")
 def small_universe():
     return generate_universe(SMALL)
-
-
-def mapping_bytes(mapping, tmp_path, name):
-    path = tmp_path / name
-    mapping.save(path)
-    return path.read_bytes()
 
 
 def cluster_key(mapping):
@@ -320,50 +316,6 @@ class TestShardedChaos:
         assert registry.gauge(
             "pipeline_shards_failed", ""
         ).value == len(result.failed_shards)
-
-    def test_resume_converges_to_byte_identical_mapping(
-        self, small_universe, tmp_path
-    ):
-        """Fault cleared + --resume: only failed shards re-run, bytes equal."""
-        u = small_universe
-        ckpt = tmp_path / "ckpt.jsonl"
-        chaos = BorgesConfig().with_fault_profile("shard-crash")
-        degraded = run_sharded(
-            u.whois, u.pdb, u.web, chaos, 4,
-            checkpoint_path=ckpt, shard_retries=1,
-        )
-        assert degraded.failed_shards
-        clean = BorgesConfig()
-        resumed = run_sharded(
-            u.whois, u.pdb, u.web, clean, 4,
-            checkpoint_path=ckpt, resume=True,
-        )
-        assert resumed.failed_shards == []
-        assert resumed.degraded is False
-        # Resume re-ran only the previously-failed shards.
-        assert sorted(resumed.resumed_shards) == sorted(
-            set(range(4)) - set(degraded.failed_shards)
-        )
-        reference = run_sharded(u.whois, u.pdb, u.web, clean, 4)
-        unsharded = BorgesPipeline(u.whois, u.pdb, u.web, clean).run()
-        assert mapping_bytes(resumed.mapping, tmp_path, "resumed.json") == (
-            mapping_bytes(reference.mapping, tmp_path, "reference.json")
-        )
-        assert mapping_bytes(resumed.mapping, tmp_path, "r2.json") == (
-            mapping_bytes(unsharded.mapping, tmp_path, "flat.json")
-        )
-
-    def test_shard_flaky_recovers_clean_via_retry(self, small_universe):
-        """flaky faults die on attempt 0 only: retries make the run exact."""
-        u = small_universe
-        flaky = BorgesConfig().with_fault_profile("shard-flaky")
-        result = run_sharded(u.whois, u.pdb, u.web, flaky, 4, shard_retries=2)
-        assert result.failed_shards == []
-        assert result.degraded is False
-        fault = result.diagnostics["fault_tolerance"]
-        assert fault["retry_total"] > 0, "shard-flaky must force retries"
-        clean = run_sharded(u.whois, u.pdb, u.web, BorgesConfig(), 4)
-        assert cluster_key(result.mapping) == cluster_key(clean.mapping)
 
     def test_shard_hang_killed_at_deadline_and_bounded(self, small_universe):
         u = small_universe

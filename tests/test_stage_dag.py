@@ -240,16 +240,6 @@ class TestSweepSharing:
 
 
 class TestExecutorSurface:
-    def test_sequential_executor_matches_concurrent(self, small_universe):
-        concurrent = make_pipeline(small_universe).run()
-        sequential = make_pipeline(
-            small_universe,
-            config=dataclasses.replace(
-                BorgesConfig(), executor=ExecutorConfig(max_workers=1)
-            ),
-        ).run()
-        assert sequential.mapping.clusters() == concurrent.mapping.clusters()
-
     def test_executor_config_validation(self):
         from repro.errors import ConfigError
 
