@@ -24,7 +24,10 @@ must *clear* once a healthy trickle outlives the fast window.
 The default mode additionally proves the trace plumbing end to end: a
 client-supplied W3C ``traceparent`` must round-trip into the
 ``x-borges-trace-id`` response header and be joinable in the access
-log.
+log.  Its wire-framing block drives the request loop over raw sockets
+the way curl and proxies do: a pipelined pair answered in order on one
+connection, ``Connection: close`` honoured, an ``Expect: 100-continue``
+batch POST, and the ``/metrics`` content type.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py [--chaos PROFILE]
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import sys
 import threading
 import time
@@ -91,6 +95,52 @@ def post(url: str, payload: dict):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def read_to_close(sock: socket.socket) -> bytes:
+    """Everything the server sends until it closes the connection."""
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def split_responses(data: bytes) -> list:
+    """Raw response bytes as ``[(status, lower-cased headers, body)]``."""
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        responses.append((int(status_line.split()[1]), headers, rest[:length]))
+        data = rest[length:]
+    return responses
+
+
+def raw_exchange(host: str, port: int, head: str, body: bytes = b"") -> tuple:
+    """Send *head* on a fresh connection; ``(interim, responses)``.
+
+    With a *body*, *head* carries ``Expect: 100-continue``: the body goes
+    out only after the interim answer, which is returned as *interim*.
+    The server must close the connection after the last response.
+    """
+    interim = b""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1"))
+        if body:
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                if not chunk:
+                    break
+                interim += chunk
+            sock.sendall(body)
+        return interim, split_responses(read_to_close(sock))
 
 
 def expect(condition: bool, label: str) -> None:
@@ -347,6 +397,52 @@ def main() -> int:
             and access[0]["endpoint"] == "asn"
             and access[0]["status"] == 200,
             "trace id joins the access log",
+        )
+
+        print("wire framing:")
+        other = index.asns()[1]
+        _, responses = raw_exchange(
+            server.host, server.port,
+            f"GET /v1/asn/{asn} HTTP/1.1\r\nHost: smoke\r\n\r\n"
+            f"GET /v1/asn/{other} HTTP/1.1\r\nHost: smoke\r\n"
+            "Connection: close\r\n\r\n",
+        )
+        expect(
+            [(code, json.loads(body)["asn"]) for code, _, body in responses]
+            == [(200, asn), (200, other)],
+            "pipelined pair answered in order on one connection",
+        )
+        _, responses = raw_exchange(
+            server.host, server.port,
+            "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        expect(
+            [code for code, _, _ in responses] == [200]
+            and responses[0][1].get("connection") == "close",
+            "Connection: close answered once, then closed",
+        )
+        batch = json.dumps({"asns": [asn, other]}).encode()
+        interim, responses = raw_exchange(
+            server.host, server.port,
+            f"POST /v1/batch HTTP/1.1\r\nContent-Length: {len(batch)}\r\n"
+            "Content-Type: application/json\r\nExpect: 100-continue\r\n"
+            "Connection: close\r\n\r\n",
+            batch,
+        )
+        expect(
+            interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            and [code for code, _, _ in responses] == [200]
+            and [r["asn"] for r in json.loads(responses[0][2])["results"]]
+            == [asn, other],
+            "Expect: 100-continue batch POST",
+        )
+        _, responses = raw_exchange(
+            server.host, server.port,
+            "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        expect(
+            responses[0][1].get("content-type") == "text/plain; version=0.0.4",
+            "/metrics content type",
         )
 
         print("hot swap under live readers:")

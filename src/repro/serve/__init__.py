@@ -17,9 +17,10 @@ them, the way downstream tools consume CAIDA's AS2Org:
 * :mod:`repro.serve.service` — :class:`QueryService`: batched lookups,
   an LRU response cache, and per-endpoint sub-millisecond latency
   histograms in the shared metrics registry;
-* :mod:`repro.serve.httpd` — :class:`QueryServer`: a stdlib threading
-  HTTP JSON API (``/v1/asn``, ``/v1/org``, ``/v1/siblings``,
-  ``/v1/search``, ``/healthz``, ``/metrics``);
+* :mod:`repro.serve.httpd` — :class:`QueryServer`: a thread-per-connection
+  HTTP/1.1 JSON API (``/v1/asn``, ``/v1/org``, ``/v1/siblings``,
+  ``/v1/search``, ``/healthz``, ``/metrics``) whose lean keep-alive
+  request loop parses each request once and answers it in one write;
 * :mod:`repro.serve.admission` — :class:`AdmissionController`: bounded
   concurrency with a finite wait queue and per-endpoint deadlines, so
   saturated load sheds fast (HTTP 429/503) instead of piling up;

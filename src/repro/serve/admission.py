@@ -1,6 +1,6 @@
 """Overload protection for the serve tier: a bounded admission gate.
 
-``ThreadingHTTPServer`` happily spawns one thread per connection, so
+The HTTP front-end happily spawns one thread per connection, so
 without a gate a traffic spike turns into unbounded concurrency, every
 request slows down together, and *nothing* finishes within its deadline
 — the classic congestion-collapse failure mode.  The

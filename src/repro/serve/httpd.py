@@ -1,13 +1,15 @@
-"""Stdlib HTTP front-end for the query service.
+"""Lean HTTP/1.1 front-end for the query service.
 
-A :class:`ThreadingHTTPServer` exposing the read API as JSON:
+A thread-per-connection TCP server whose handler runs a keep-alive
+HTTP/1.1 request loop, exposing the read API as JSON:
 
 ==========================  ===================================================
 ``GET /v1/asn/{asn}``        one ASN's organization (404 unknown ASN);
                              ``?gen=N`` answers from archived generation N
 ``GET /v1/org/{id}``         one organization's members (404 unknown id)
 ``GET /v1/siblings``         ``?a=&b=`` verdict, or ``?asn=`` sibling list
-``GET /v1/search``           ``?q=&limit=`` org-name search
+``GET /v1/search``           ``?q=&limit=`` org-name search (``limit`` at
+                             most :data:`MAX_SEARCH_LIMIT`)
 ``GET /v1/diff``             ``?from=&to=`` orgs merged/split, ASNs moved
                              between two archived generations
 ``POST /v1/batch``           ``{"asns": [...]}`` batched lookup
@@ -18,6 +20,22 @@ A :class:`ThreadingHTTPServer` exposing the read API as JSON:
 ``GET /healthz``             200 ok/degraded, 503 before the first snapshot
 ``GET /metrics``             Prometheus text exposition
 ==========================  ===================================================
+
+Each request costs one parse and one ``write``.  The loop reads the
+request line and headers itself (no ``email.parser``), and every
+response — status line, headers and body — leaves in a single send.
+With two sends per response, concurrent handler threads convoy on the
+GIL: each send releases it and then waits for another handler to hand
+it back.  Framing follows ``http.server``: HTTP/1.1 connections stay
+open unless the client sends ``Connection: close``, HTTP/1.0 ones close
+unless it sends ``Connection: keep-alive``.  ``Expect: 100-continue`` is
+answered with ``100 Continue`` just before a body is read, so a body the
+handler refuses (413, 400) is never invited.  A request the loop cannot
+frame answers JSON and closes the connection: ``414`` for a request line
+past :data:`MAX_LINE` bytes, ``431`` for a longer header line or more
+than :data:`MAX_HEADERS` headers, ``400`` for a malformed request or
+header line (HTTP/0.9 included), ``505`` for HTTP versions other than
+1.0 and 1.1, and ``501`` for methods other than GET and POST.
 
 Every response carries an ``x-borges-trace-id`` header: the trace ID of
 the client's ``traceparent`` when one was supplied (we continue their
@@ -44,11 +62,13 @@ from __future__ import annotations
 import json
 import math
 import socket
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
 from ..errors import (
     DeadlineExceededError,
@@ -80,6 +100,25 @@ MAX_CONTENT_LENGTH = 1 << 20
 #: Most ASNs accepted in one batch lookup.
 MAX_BATCH_ASNS = 1024
 
+#: Largest ``/v1/search`` result count.  Every distinct ``(q, limit)``
+#: pair is one entry in the service's response cache, so an unbounded
+#: limit would let one client pin a full result list per entry.
+MAX_SEARCH_LIMIT = 100
+
+#: Longest request or header line accepted, in bytes (as ``http.server``).
+MAX_LINE = 65536
+
+#: Most header lines accepted in one request (as ``http.client``).
+MAX_HEADERS = 100
+
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus
+}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_METHODS = ("GET", "POST")
+_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
+
 
 class _BadParam(ValueError):
     """A malformed query parameter, carrying the offending field name."""
@@ -88,6 +127,21 @@ class _BadParam(ValueError):
         super().__init__(f"parameter {name!r} must be an integer, got {raw!r}")
         self.name = name
         self.raw = raw
+
+
+class _ProtocolError(Exception):
+    """A request the loop cannot frame: answered, then the connection closed."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+class _Headers(dict):
+    """Request headers keyed by lower-case name; ``get`` ignores case."""
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        return dict.get(self, name.lower(), default)
 
 
 def _endpoint_for(path: str) -> str:
@@ -121,26 +175,151 @@ def _endpoint_for(path: str) -> str:
 
 def _make_handler(service: QueryService):
     registry = service.registry
+    # One ``serve_http_requests_total`` child per status code, resolved
+    # on first use instead of a registry lookup (lock + label sort) per
+    # request.  A racing first use resolves the same child twice.
+    request_counters: Dict[int, object] = {}
+    date_cache: Tuple[int, str] = (0, "")
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "borges-serve"
-        # The handler writes status line, headers and body as separate
-        # sends; with Nagle on, the body send waits out the client's
-        # delayed ACK (~40 ms) on every keep-alive request.
+    def http_date() -> str:
+        """The ``Date`` header value, formatted once per second."""
+        nonlocal date_cache
+        now = int(time.time())
+        cached = date_cache
+        if cached[0] != now:
+            cached = date_cache = (now, formatdate(now, usegmt=True))
+        return cached[1]
+
+    class Handler(socketserver.StreamRequestHandler):
+        # A response is one send, but ``100 Continue`` goes out before
+        # it; with Nagle on, the final answer would wait out the
+        # client's delayed ACK (~40 ms) behind that interim one.
         disable_nagle_algorithm = True
 
-        # Per-request state installed by _dispatch before routing.  A
-        # handler instance serves one connection's requests sequentially,
-        # so plain instance attributes are race-free.
+        # Per-request state installed by the request loop.  A handler
+        # instance serves one connection's requests sequentially, so
+        # plain instance attributes are race-free.
+        headers: _Headers
+        close_connection = True
+        _expect_continue = False
         _trace_context = None
         _status = 0
         _admission = "admitted"
 
+        # -- the request loop ------------------------------------------
+
+        def handle(self) -> None:
+            """Answer this connection's requests in order until it closes."""
+            while True:
+                try:
+                    request = self._read_request()
+                except _ProtocolError as exc:
+                    self.close_connection = True
+                    self._send_error(exc.code, str(exc))
+                    return
+                if request is None:
+                    return
+                method, target, self.headers = request
+                self._dispatch(method, target)
+                if self.close_connection:
+                    return
+
+        def _read_request(self) -> Optional[Tuple[str, str, _Headers]]:
+            """The next request's method, target and headers.
+
+            ``None`` means the client closed the connection (or sent a
+            blank request line, which ``http.server`` also closes on).
+            Sets ``close_connection`` and ``_expect_continue`` from the
+            version and headers; raises :class:`_ProtocolError` for a
+            request that cannot be framed.
+            """
+            line = self.rfile.readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                raise _ProtocolError(
+                    414, f"request line longer than {MAX_LINE} bytes"
+                )
+            text = line.decode("iso-8859-1")
+            words = text.split()
+            if not words:
+                return None
+            if len(words) != 3:
+                raise _ProtocolError(
+                    400, f"bad request line {text.rstrip()[:200]!r}"
+                )
+            method, target, version = words
+            if version not in _VERSIONS:
+                raise _ProtocolError(
+                    505 if version.startswith("HTTP/") else 400,
+                    f"unsupported HTTP version {version!r}",
+                )
+            if method not in _METHODS:
+                raise _ProtocolError(501, f"unsupported method {method!r}")
+            headers = self._read_headers()
+            if headers is None:
+                return None
+            connection = headers.get("connection", "").lower()
+            self.close_connection = connection == "close" or (
+                version == "HTTP/1.0" and connection != "keep-alive"
+            )
+            self._expect_continue = (
+                version == "HTTP/1.1"
+                and headers.get("expect", "").lower() == "100-continue"
+            )
+            if target.startswith("//"):
+                # As http.server: a leading '//' is not a network path.
+                target = "/" + target.lstrip("/")
+            return method, target, headers
+
+        def _read_headers(self) -> Optional[_Headers]:
+            """Header lines up to the blank line; ``None`` at EOF."""
+            headers = _Headers()
+            for _ in range(MAX_HEADERS + 1):
+                line = self.rfile.readline(MAX_LINE + 1)
+                if len(line) > MAX_LINE:
+                    raise _ProtocolError(
+                        431, f"header line longer than {MAX_LINE} bytes"
+                    )
+                if line in (b"\r\n", b"\n"):
+                    return headers
+                if not line:
+                    return None
+                text = line.decode("iso-8859-1")
+                name, colon, value = text.partition(":")
+                if not colon or not name or name.strip() != name:
+                    raise _ProtocolError(
+                        400, f"malformed header line {text.rstrip()[:200]!r}"
+                    )
+                # The first of repeated headers wins, as with email.parser.
+                headers.setdefault(name.lower(), value.strip())
+            raise _ProtocolError(431, f"more than {MAX_HEADERS} headers")
+
         # -- plumbing --------------------------------------------------
 
-        def log_message(self, format: str, *args: object) -> None:
-            _LOG.debug("%s %s", self.address_string(), format % args)
+        def _write(
+            self,
+            code: int,
+            content_type: str,
+            body: bytes,
+            extra_headers: Optional[Dict[str, str]] = None,
+        ) -> None:
+            """Frame one response and send it in a single write."""
+            head = (
+                f"{_STATUS_LINES[code]}Server: borges-serve\r\n"
+                f"Date: {http_date()}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+            if self._trace_context is not None:
+                head += (
+                    f"{TRACE_RESPONSE_HEADER}: "
+                    f"{self._trace_context.trace_id}\r\n"
+                )
+            for name, value in (extra_headers or {}).items():
+                head += f"{name}: {value}\r\n"
+            if self.close_connection:
+                head += "Connection: close\r\n"
+            self.wfile.write((head + "\r\n").encode("latin-1") + body)
+            self._status = code
 
         def _send_json(
             self,
@@ -149,23 +328,15 @@ def _make_handler(service: QueryService):
             extra_headers: Optional[Dict[str, str]] = None,
         ) -> None:
             body = json.dumps(payload).encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if self._trace_context is not None:
-                self.send_header(
-                    TRACE_RESPONSE_HEADER, self._trace_context.trace_id
+            self._write(code, "application/json", body, extra_headers)
+            counter = request_counters.get(code)
+            if counter is None:
+                counter = request_counters[code] = registry.counter(
+                    "serve_http_requests_total",
+                    "HTTP requests by status code",
+                    code=code,
                 )
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-            self._status = code
-            registry.counter(
-                "serve_http_requests_total",
-                "HTTP requests by status code",
-                code=code,
-            ).inc()
+            counter.inc()
 
         def _send_error(self, code: int, message: str) -> None:
             self._send_json(code, {"error": message})
@@ -184,10 +355,6 @@ def _make_handler(service: QueryService):
                 },
             )
 
-        def _query(self) -> Tuple[str, dict]:
-            parsed = urlparse(self.path)
-            return parsed.path.rstrip("/") or "/", parse_qs(parsed.query)
-
         def _int_param(self, params: dict, name: str) -> Optional[int]:
             values = params.get(name)
             if not values:
@@ -199,13 +366,7 @@ def _make_handler(service: QueryService):
 
         # -- routes ----------------------------------------------------
 
-        def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-            self._dispatch("GET")
-
-        def do_POST(self) -> None:  # noqa: N802
-            self._dispatch("POST")
-
-        def _dispatch(self, method: str) -> None:
+        def _dispatch(self, method: str, target: str) -> None:
             """Trace, route, answer, and account for one request.
 
             The trace context comes from the client's ``traceparent``
@@ -217,7 +378,9 @@ def _make_handler(service: QueryService):
             event and offers slow requests to the exemplar store with
             their full span tree.
             """
-            path, params = self._query()
+            path, _, query = target.partition("?")
+            path = path.rstrip("/") or "/"
+            params = parse_qs(query) if query else {}
             endpoint = _endpoint_for(path)
             incoming = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
             context = (
@@ -291,7 +454,7 @@ def _make_handler(service: QueryService):
                 self._send_error(503, "no mapping snapshot loaded")
             except Exception as exc:  # noqa: BLE001 — a handler crash
                 # must answer the client, not silently drop the socket.
-                _LOG.exception("handler error on %s", self.path)
+                _LOG.exception("handler error on %s", path)
                 self._send_error(500, f"internal error: {exc}")
 
         def _observe(
@@ -365,6 +528,9 @@ def _make_handler(service: QueryService):
                     f"{MAX_CONTENT_LENGTH}-byte limit",
                 )
                 return None
+            if self._expect_continue:
+                self._expect_continue = False
+                self.wfile.write(_CONTINUE)
             return self.rfile.read(length)
 
         def _handle_batch(self) -> None:
@@ -469,6 +635,13 @@ def _make_handler(service: QueryService):
                 self._send_error(400, "missing ?q=")
                 return
             limit = self._int_param(params, "limit")
+            if limit is not None and limit > MAX_SEARCH_LIMIT:
+                self._send_error(
+                    400,
+                    f"parameter 'limit' must be at most {MAX_SEARCH_LIMIT}, "
+                    f"got {limit}",
+                )
+                return
             self._send_json(
                 200, service.search(query, limit=10 if limit is None else limit)
             )
@@ -507,22 +680,20 @@ def _make_handler(service: QueryService):
                 "serve_metrics_render_seconds",
                 "Time spent rendering the Prometheus exposition",
             ).observe(time.perf_counter() - render_started)
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            if self._trace_context is not None:
-                self.send_header(
-                    TRACE_RESPONSE_HEADER, self._trace_context.trace_id
-                )
-            self.end_headers()
-            self.wfile.write(body)
-            self._status = 200
+            self._write(200, "text/plain; version=0.0.4", body)
 
     return Handler
 
 
-class _ReusePortHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that binds with ``SO_REUSEPORT``.
+class _ThreadingServer(socketserver.ThreadingTCPServer):
+    """Accept loop with one daemon handler thread per connection."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+
+class _ReusePortServer(_ThreadingServer):
+    """A :class:`_ThreadingServer` that binds with ``SO_REUSEPORT``.
 
     Multiple worker processes bind+listen on the *same* address and the
     kernel load-balances accepted connections across them — the fan-in
@@ -547,9 +718,8 @@ class QueryServer:
         reuse_port: bool = False,
     ) -> None:
         self.service = service
-        server_cls = _ReusePortHTTPServer if reuse_port else ThreadingHTTPServer
+        server_cls = _ReusePortServer if reuse_port else _ThreadingServer
         self._httpd = server_cls((host, port), _make_handler(service))
-        self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 
     @property

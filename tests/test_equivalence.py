@@ -68,7 +68,7 @@ def served_bytes(mapping, whois, pdb, tmp_path):
     return path.read_bytes(), blob
 
 
-@pytest.fixture(scope="module", params=SEEDS, ids=lambda s: f"seed{s}")
+@pytest.fixture(scope="module")
 def world(request, tmp_path_factory):
     config = UniverseConfig(seed=request.param, n_organizations=ORGS)
     universe = generate_universe(config)
@@ -219,7 +219,16 @@ LEGS = {
 }
 
 
-@pytest.mark.parametrize("leg", sorted(LEGS))
+#: Every leg at every seed, plus one more seed for the cheap streamed leg.
+CASES = [(seed, leg) for seed in SEEDS for leg in sorted(LEGS)] + [
+    (19, "streamed-export")
+]
+
+
+@pytest.mark.parametrize(
+    "world, leg", CASES, indirect=["world"], scope="module",
+    ids=[f"seed{seed}-{leg}" for seed, leg in CASES],
+)
 def test_mode_reproduces_reference(world, leg, tmp_path):
     mapping, whois, pdb = LEGS[leg](world, tmp_path)
     mapping_bytes, blob = served_bytes(mapping, whois, pdb, tmp_path)

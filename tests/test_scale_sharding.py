@@ -26,7 +26,6 @@ from repro.core import (
 )
 from repro.digest import stable_digest
 from repro.obs import PEAK_RSS_GAUGE, MetricsRegistry, Tracer
-from repro.peeringdb import save_snapshot
 from repro.universe import (
     export_universe_streaming,
     generate_universe,
@@ -37,7 +36,6 @@ from repro.universe.stream import (
     materialize_chunk,
     stream_chunks,
 )
-from repro.whois import save_as2org_file
 
 SMALL = UniverseConfig(seed=3, n_organizations=100)
 
@@ -293,27 +291,6 @@ DATASET_FILES = (
     "as2org.jsonl",
     "apnic_population.csv",
 )
-
-
-def _collect_all_export(universe, out):
-    out.mkdir(parents=True, exist_ok=True)
-    save_snapshot(universe.pdb, out / "peeringdb_snapshot.json")
-    save_as2org_file(universe.whois, out / "as2org.jsonl")
-    universe.apnic.save_csv(out / "apnic_population.csv")
-
-
-@pytest.mark.parametrize("seed", [3, 11, 19])
-def test_streaming_export_byte_identical(seed, tmp_path):
-    config = UniverseConfig(seed=seed, n_organizations=100)
-    reference = tmp_path / "ref"
-    streamed = tmp_path / "streamed"
-    _collect_all_export(generate_universe(config), reference)
-    summary = export_universe_streaming(config, streamed)
-    assert summary["asns"] > 0
-    for name in DATASET_FILES:
-        assert (streamed / name).read_bytes() == (
-            reference / name
-        ).read_bytes(), name
 
 
 def test_streaming_export_chunk_size_invariant(tmp_path):

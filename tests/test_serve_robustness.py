@@ -11,13 +11,17 @@ Three layers under test:
   roll back to last-known-good;
 * the HTTP hardening satellites — malformed query params and hostile
   ``Content-Length`` values answer 400/413/429, never 500 and never a
-  hung handler thread.
+  hung handler thread — and the request loop's wire framing, driven
+  over raw sockets: pipelining, connection close rules,
+  ``Expect: 100-continue``, protocol-error answers, one write per
+  response.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -45,6 +49,7 @@ from repro.serve import (
     SnapshotStore,
     percentile,
 )
+from repro.serve.httpd import MAX_SEARCH_LIMIT, _make_handler
 from repro.serve.store import QUARANTINE_SUFFIX
 from repro.whois.as2org_file import (
     RELEASE_HEADER_PREFIX,
@@ -590,6 +595,46 @@ def _raw_post(server, path, content_length, body=b""):
         conn.close()
 
 
+def _read_to_eof(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _wire(server, payload):
+    """Send raw bytes on one connection; all it answers until it closes."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=5
+    ) as sock:
+        sock.sendall(payload)
+        return _read_to_eof(sock)
+
+
+def _split_responses(data):
+    """Raw response bytes as ``[(status, lower-cased headers, body)]``."""
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.lower()] = value.strip()
+        length = int(headers["content-length"])
+        responses.append((int(status_line.split()[1]), headers, rest[:length]))
+        data = rest[length:]
+    return responses
+
+
+def _with_headers(count):
+    """A /healthz request carrying *count* headers, the last one close."""
+    extra = b"".join(b"X-Filler-%d: v\r\n" % i for i in range(count - 1))
+    return b"GET /healthz HTTP/1.1\r\n" + extra + b"Connection: close\r\n\r\n"
+
+
 class TestHTTPHardening:
     @pytest.fixture()
     def server(self, registry, borges_mapping, universe):
@@ -652,6 +697,156 @@ class TestHTTPHardening:
                 assert f"'{field}'" in body["error"], url
         finally:
             conn.close()
+
+    def test_search_limit_is_bounded(self, server):
+        def cached():
+            return server.service.stats()["response_cache"]["entries"]
+
+        before = cached()
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=5
+        )
+        try:
+            conn.request(
+                "GET", f"/v1/search?q=net&limit={MAX_SEARCH_LIMIT + 1}"
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 400 and "'limit'" in body["error"]
+            assert cached() == before
+            conn.request("GET", "/v1/search?q=net&limit=0")
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 200 and body["results"] == []
+        finally:
+            conn.close()
+
+    # -- wire framing, over raw sockets --------------------------------
+
+    def test_pipelined_requests_answer_in_order(self, server):
+        a, b = server.service.store.current().index.asns()[:2]
+        responses = _split_responses(_wire(server, (
+            f"GET /v1/asn/{a} HTTP/1.1\r\nHost: x\r\n\r\n"
+            f"GET /v1/asn/{b} HTTP/1.1\r\nHost: x\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode()))
+        assert [status for status, _, _ in responses] == [200, 200]
+        assert [json.loads(body)["asn"] for _, _, body in responses] == [a, b]
+        assert "connection" not in responses[0][1]
+        assert responses[1][1]["connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "head, answers",
+        [
+            ("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 1),
+            ("GET /healthz HTTP/1.0\r\n\r\n", 1),
+            (
+                "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                "GET /healthz HTTP/1.0\r\n\r\n",
+                2,
+            ),
+        ],
+        ids=["close", "http10", "http10-keep-alive"],
+    )
+    def test_connection_close_rules(self, server, head, answers):
+        # _wire reads to EOF: a server that kept the connection open
+        # would time the read out instead.
+        responses = _split_responses(_wire(server, head.encode()))
+        assert [status for status, _, _ in responses] == [200] * answers
+
+    def test_expect_100_continue_batch(self, server):
+        asns = server.service.store.current().index.asns()[:3]
+        body = json.dumps({"asns": asns}).encode()
+        with socket.create_connection(
+            (server.host, server.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                f"POST /v1/batch HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+                "Expect: 100-continue\r\nConnection: close\r\n\r\n".encode()
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, "closed before 100 Continue"
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            ((status, _, payload),) = _split_responses(_read_to_eof(sock))
+        assert status == 200
+        assert [r["asn"] for r in json.loads(payload)["results"]] == asns
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (_with_headers(100), 200),
+            (_with_headers(101), 431),
+            (b"GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n", 400),
+            (b"GET /healthz\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+            (b"PUT /v1/batch HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+        ],
+        ids=[
+            "long-line-414", "100-headers", "101-headers-431",
+            "no-colon-400", "http09-400", "http2-505", "put-501",
+        ],
+    )
+    def test_request_framing_limits(self, server, payload, expected):
+        ((status, headers, body),) = _split_responses(_wire(server, payload))
+        assert status == expected
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error" if expected != 200 else "status"]
+
+    def test_lower_case_traceparent_round_trips(self, server):
+        trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"
+        ((status, headers, _),) = _split_responses(_wire(server, (
+            f"GET /healthz HTTP/1.1\r\n"
+            f"traceparent: 00-{trace_id}-00f067aa0ba902b7-01\r\n"
+            "connection: close\r\n\r\n"
+        ).encode()))
+        assert status == 200 and headers["x-borges-trace-id"] == trace_id
+
+    def test_each_response_is_one_write(self, server):
+        writes = []
+
+        class Recording(_make_handler(server.service)):
+            def setup(self):
+                super().setup()
+                send = self.wfile.write
+
+                def write(data):
+                    writes.append(bytes(data))
+                    return send(data)
+
+                self.wfile.write = write
+
+        asns = server.service.store.current().index.asns()[:2]
+        batch = json.dumps({"asns": asns}).encode()
+        payload = (
+            f"GET /v1/asn/{asns[0]} HTTP/1.1\r\n\r\n"
+            "GET /metrics HTTP/1.1\r\n\r\n"
+            "GET /v1/asn/1 HTTP/1.1\r\n\r\n"
+            f"POST /v1/batch HTTP/1.1\r\nContent-Length: {len(batch)}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode() + batch
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with socket.create_connection(
+                listener.getsockname(), timeout=5
+            ) as client:
+                conn, address = listener.accept()
+                handler = threading.Thread(
+                    target=Recording, args=(conn, address, None)
+                )
+                handler.start()
+                client.sendall(payload)
+                handler.join(timeout=5)
+                assert not handler.is_alive()
+                conn.close()
+                data = _read_to_eof(client)
+        responses = _split_responses(data)
+        assert [status for status, _, _ in responses] == [200, 200, 404, 200]
+        assert len(writes) == 4 and b"".join(writes) == data
 
 
 class TestHTTPOverloadSurface:
