@@ -26,8 +26,10 @@ client-supplied W3C ``traceparent`` must round-trip into the
 ``x-borges-trace-id`` response header and be joinable in the access
 log.  Its wire-framing block drives the request loop over raw sockets
 the way curl and proxies do: a pipelined pair answered in order on one
-connection, ``Connection: close`` honoured, an ``Expect: 100-continue``
-batch POST, and the ``/metrics`` content type.
+connection, ``Connection: close`` honoured, a rollback whose body is
+never read answered once and then closed (the leftover bytes must not
+become the pipelined next request), an ``Expect: 100-continue`` batch
+POST, and the ``/metrics`` content type.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py [--chaos PROFILE]
 """
@@ -420,6 +422,21 @@ def main() -> int:
             [code for code, _, _ in responses] == [200]
             and responses[0][1].get("connection") == "close",
             "Connection: close answered once, then closed",
+        )
+        # Rollback never reads its body.  Left on the connection, "{}"
+        # would prefix the pipelined GET's request line; the server must
+        # answer the rollback (409: one generation, nothing to restore)
+        # and close instead of answering the leftover bytes.
+        _, responses = raw_exchange(
+            server.host, server.port,
+            "POST /v1/admin/rollback HTTP/1.1\r\nHost: smoke\r\n"
+            "Content-Length: 2\r\n\r\n{}"
+            "GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n",
+        )
+        expect(
+            [code for code, _, _ in responses] == [409]
+            and responses[0][1].get("connection") == "close",
+            "rollback with an unread body answered once, then closed",
         )
         batch = json.dumps({"asns": [asn, other]}).encode()
         interim, responses = raw_exchange(

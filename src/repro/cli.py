@@ -1457,17 +1457,19 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 resume=True,
             )
             shard_posture = result.shard_posture()
+            digests = [
+                dataset_digest(universe.whois), dataset_digest(universe.pdb)
+            ]
         else:
             pipeline = BorgesPipeline(
                 universe.whois, universe.pdb, universe.web, config
             )
             result = pipeline.run()
+            digests = [pipeline.dataset_digests[n] for n in ("whois", "pdb")]
         precision = score_partition(
             result.mapping.clusters(), universe.ground_truth.true_clusters()
         ).pair_precision
-        digest = stable_digest(
-            [dataset_digest(universe.whois), dataset_digest(universe.pdb)]
-        )
+        digest = stable_digest(digests)
         return WatchRunResult(
             mapping=result.mapping,
             dataset_digest=digest,

@@ -17,6 +17,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..config import (
@@ -235,6 +236,12 @@ class BorgesPipeline:
     @property
     def client(self) -> ChatClient:
         return self._client
+
+    @property
+    def dataset_digests(self) -> Mapping[str, str]:
+        """Read-only content digests of the input datasets, computed once
+        at construction (keys ``whois``, ``pdb``, ``web``)."""
+        return MappingProxyType(self._dataset_digests)
 
     @property
     def _spans(self) -> Tracer:

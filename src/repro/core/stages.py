@@ -13,9 +13,11 @@ scrape stage::
 Each :class:`StageSpec` declares its dependencies, the config slice and
 dataset digests that enter its fingerprint, the resources it needs (so
 the executor can serialise stages sharing the LLM client or web driver),
-and a JSON codec.  The executor always round-trips a produced value
-through ``encode``/``decode``, so cold and warm runs hand downstream
-stages the *identical* value — the artifact is the interface.
+and a JSON codec.  Every ``produce`` returns the canonical value: the
+one its ``decode`` rebuilds from the encoded artifact (clusters in codec
+order, dicts in sorted key order).  The executor therefore hands a
+computed value downstream as is and decodes only on a cache hit, and
+cold and warm runs still hand downstream stages equal values.
 
 The DAG replaces the old hand-written feature flow in ``pipeline.py``:
 the rr-salvage special case is gone because rr depends only on the
@@ -30,6 +32,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -147,6 +150,12 @@ def decode_clusters(payload: object) -> List[Cluster]:
     return [frozenset(int(a) for a in members) for members in payload]
 
 
+def canonical_clusters(clusters: Iterable[Cluster]) -> List[Cluster]:
+    """*clusters* in codec order: what ``decode_clusters`` rebuilds from
+    ``encode_clusters`` of the same list, without the round trip."""
+    return sorted(clusters, key=sorted)
+
+
 def stage_clusters(value: object) -> List[Cluster]:
     """The cluster list of any feature stage's decoded value."""
     if isinstance(value, dict):
@@ -154,21 +163,17 @@ def stage_clusters(value: object) -> List[Cluster]:
     return list(value)
 
 
-def _identity_decode(payload: object, ctx: StageContext) -> object:
-    return payload
-
-
 # -- stage implementations ----------------------------------------------------
 
 
 def _produce_oid_w(ctx: StageContext, inputs: Dict[str, object]) -> object:
     with ctx.span("feature.oid_w"):
-        return oid_w_clusters(ctx.whois)
+        return canonical_clusters(oid_w_clusters(ctx.whois))
 
 
 def _produce_oid_p(ctx: StageContext, inputs: Dict[str, object]) -> object:
     with ctx.span("feature.oid_p"):
-        return oid_p_clusters(ctx.pdb)
+        return canonical_clusters(oid_p_clusters(ctx.pdb))
 
 
 def _produce_ner_extract(ctx: StageContext, inputs: Dict[str, object]) -> object:
@@ -177,7 +182,9 @@ def _produce_ner_extract(ctx: StageContext, inputs: Dict[str, object]) -> object
         span.set_attribute("records_queried", ctx.ner.stats.records_queried)
         return {
             "records": results,
-            "stats": {k: int(v) for k, v in vars(ctx.ner.stats).items()},
+            "stats": {
+                k: int(v) for k, v in sorted(vars(ctx.ner.stats).items())
+            },
         }
 
 
@@ -224,14 +231,19 @@ def _decode_ner_extract(payload: object, ctx: StageContext) -> object:
 
 def _produce_notes_aka(ctx: StageContext, inputs: Dict[str, object]) -> object:
     with ctx.span("feature.notes_aka") as span:
-        clusters = ctx.ner.clusters(inputs[STAGE_NER_EXTRACT]["records"])
+        clusters = canonical_clusters(
+            ctx.ner.clusters(inputs[STAGE_NER_EXTRACT]["records"])
+        )
         span.set_attribute("clusters", len(clusters))
         return clusters
 
 
 def _produce_scrape(ctx: StageContext, inputs: Dict[str, object]) -> object:
     final_of_asn, stats = ctx.web_module.scrape_urls(ctx.pdb)
-    return {"final_url_of_asn": final_of_asn, "stats": stats}
+    return {
+        "final_url_of_asn": dict(sorted(final_of_asn.items())),
+        "stats": dict(sorted(stats.items())),
+    }
 
 
 def _encode_scrape(value: Dict[str, object]) -> object:
@@ -257,7 +269,9 @@ def _produce_rr(ctx: StageContext, inputs: Dict[str, object]) -> object:
     with ctx.span("feature.rr") as span:
         final_of_asn = inputs[STAGE_SCRAPE]["final_url_of_asn"]
         by_final, blocked = ctx.web_module.rr_grouping(final_of_asn)
-        clusters = [frozenset(asns) for asns in by_final.values()]
+        clusters = canonical_clusters(
+            frozenset(asns) for asns in by_final.values()
+        )
         span.set_attribute("clusters", len(clusters))
         span.set_attribute("blocked_final_urls", blocked)
         return {"clusters": clusters, "blocked_final_urls": blocked}
@@ -285,6 +299,7 @@ def _produce_favicons(ctx: StageContext, inputs: Dict[str, object]) -> object:
         # cannot cascade (and vice versa).
         by_final, _blocked = ctx.web_module.rr_grouping(final_of_asn)
         clusters, decisions, stats = ctx.web_module.favicon_stage(by_final)
+        clusters = canonical_clusters(clusters)
         span.set_attribute("clusters", len(clusters))
         span.set_attribute("shared_favicon_groups", stats.shared_favicon_groups)
         return {"clusters": clusters, "decisions": decisions, "stats": stats}

@@ -193,17 +193,20 @@ class WebInferenceModule:
         scrape artifact rather than depending on the rr stage.
         """
         by_final: Dict[URL, List[ASN]] = {}
-        blocked = 0
         for asn, final_url in sorted(final_of_asn.items()):
-            if self._config.apply_blocklists and is_blocked_final_url(final_url):
-                blocked += 1
-                self._metrics.counter(
-                    "web_blocklist_rejections_total",
-                    "URLs dropped by the Appendix-D blocklists",
-                    list="final_url",
-                ).inc()
-                continue
             by_final.setdefault(final_url, []).append(asn)
+        if not self._config.apply_blocklists:
+            return by_final, 0
+        # One verdict per distinct final URL; the count stays per ASN.
+        blocked = 0
+        for final_url in [u for u in by_final if is_blocked_final_url(u)]:
+            blocked += len(by_final.pop(final_url))
+        if blocked:
+            self._metrics.counter(
+                "web_blocklist_rejections_total",
+                "URLs dropped by the Appendix-D blocklists",
+                list="final_url",
+            ).inc(blocked)
         return by_final, blocked
 
     def favicon_stage(

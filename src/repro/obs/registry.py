@@ -190,6 +190,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
         self._lock = threading.Lock()
+        # Children already resolved, keyed by (name, kind, labels in the
+        # order given).  Read without the lock: a dict lookup is atomic
+        # under the GIL, and entries are only added (under the lock)
+        # once the child exists in its family.
+        self._resolved: Dict[Tuple[str, str, Tuple], object] = {}
 
     def _child(
         self,
@@ -199,6 +204,14 @@ class MetricsRegistry:
         labels: Mapping[str, object],
         factory,
     ):
+        fast_key = (name, kind, tuple(labels.items()))
+        try:
+            child = self._resolved.get(fast_key)
+        except TypeError:  # an unhashable label value: slow path only
+            fast_key = None
+            child = None
+        if child is not None:
+            return child
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -214,6 +227,13 @@ class MetricsRegistry:
             if child is None:
                 child = factory()
                 family.children[key] = child
+            # Only all-string label sets are memoised: equal values of
+            # other types (1, 1.0, True) would share one fast-path entry
+            # although their str() labels name different children.
+            if fast_key is not None and all(
+                type(value) is str for value in labels.values()
+            ):
+                self._resolved[fast_key] = child
             return child
 
     def counter(self, name: str, help: str = "", **labels: object) -> Counter:
@@ -280,6 +300,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._families.clear()
+            self._resolved.clear()
 
 
 # -- process-global default ----------------------------------------------------

@@ -30,7 +30,11 @@ it back.  Framing follows ``http.server``: HTTP/1.1 connections stay
 open unless the client sends ``Connection: close``, HTTP/1.0 ones close
 unless it sends ``Connection: keep-alive``.  ``Expect: 100-continue`` is
 answered with ``100 Continue`` just before a body is read, so a body the
-handler refuses (413, 400) is never invited.  A request the loop cannot
+handler refuses (413, 400) is never invited.  A body the handler never
+reads (rollback, an unknown POST route, a GET carrying a
+``Content-Length``) is not drained: the answer carries
+``Connection: close`` and the connection ends, so the leftover bytes
+never parse as the next request.  A request the loop cannot
 frame answers JSON and closes the connection: ``414`` for a request line
 past :data:`MAX_LINE` bytes, ``431`` for a longer header line or more
 than :data:`MAX_HEADERS` headers, ``400`` for a malformed request or
@@ -202,6 +206,7 @@ def _make_handler(service: QueryService):
         headers: _Headers
         close_connection = True
         _expect_continue = False
+        _unread_body = False
         _trace_context = None
         _status = 0
         _admission = "admitted"
@@ -229,9 +234,9 @@ def _make_handler(service: QueryService):
 
             ``None`` means the client closed the connection (or sent a
             blank request line, which ``http.server`` also closes on).
-            Sets ``close_connection`` and ``_expect_continue`` from the
-            version and headers; raises :class:`_ProtocolError` for a
-            request that cannot be framed.
+            Sets ``close_connection``, ``_expect_continue`` and
+            ``_unread_body`` from the version and headers; raises
+            :class:`_ProtocolError` for a request that cannot be framed.
             """
             line = self.rfile.readline(MAX_LINE + 1)
             if len(line) > MAX_LINE:
@@ -264,6 +269,10 @@ def _make_handler(service: QueryService):
             self._expect_continue = (
                 version == "HTTP/1.1"
                 and headers.get("expect", "").lower() == "100-continue"
+            )
+            self._unread_body = (
+                headers.get("content-length", "0") != "0"
+                or "transfer-encoding" in headers
             )
             if target.startswith("//"):
                 # As http.server: a leading '//' is not a network path.
@@ -302,7 +311,14 @@ def _make_handler(service: QueryService):
             body: bytes,
             extra_headers: Optional[Dict[str, str]] = None,
         ) -> None:
-            """Frame one response and send it in a single write."""
+            """Frame one response and send it in a single write.
+
+            A request body still unread when its answer goes out (a
+            rollback, an unknown POST route, a GET with a body) would be
+            parsed as the next request line, so the connection closes.
+            """
+            if self._unread_body:
+                self.close_connection = True
             head = (
                 f"{_STATUS_LINES[code]}Server: borges-serve\r\n"
                 f"Date: {http_date()}\r\n"
@@ -531,6 +547,7 @@ def _make_handler(service: QueryService):
             if self._expect_continue:
                 self._expect_continue = False
                 self.wfile.write(_CONTINUE)
+            self._unread_body = False
             return self.rfile.read(length)
 
         def _handle_batch(self) -> None:

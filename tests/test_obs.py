@@ -1,6 +1,8 @@
 """Tests for the observability subsystem: registry, tracer, exporters."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -109,8 +111,74 @@ class TestRegistry:
     def test_reset_clears_families(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
+        registry.counter("c").inc()
         registry.reset()
         assert registry.families() == []
+        assert registry.counter("c").value == 0.0
+
+    # -- the lock-free repeat-lookup path ----------------------------------
+
+    def test_type_conflict_raises_after_fast_path_hit(self):
+        registry = MetricsRegistry()
+        first = registry.counter("x", stage="a")
+        assert registry.counter("x", stage="a") is first
+        with pytest.raises(ConfigError):
+            registry.gauge("x", stage="a")
+
+    def test_label_keyword_order_resolves_one_child(self):
+        registry = MetricsRegistry()
+        for _ in range(2):
+            registry.counter("c", stage="a", outcome="ok").inc()
+            registry.counter("c", outcome="ok", stage="a").inc()
+        assert len(registry.families()[0].children) == 1
+        assert registry.value("c", stage="a", outcome="ok") == 4.0
+
+    def test_unhashable_label_values_use_the_slow_path(self):
+        registry = MetricsRegistry()
+        for _ in range(2):
+            registry.counter("c", tags=["x"]).inc()
+        assert registry.value("c", tags=["x"]) == 2.0
+
+    def test_equal_label_values_of_other_types_stay_apart(self):
+        # 1 == True == 1.0 as dict keys, but their labels are "1",
+        # "True" and "1.0": three children, however often each repeats.
+        registry = MetricsRegistry()
+        for _ in range(2):
+            for value in (1, True, 1.0):
+                registry.counter("c", n=value).inc()
+        assert [dict(key)["n"] for key in registry.families()[0].children] \
+            == ["1", "True", "1.0"]
+        assert registry.value("c", n=True) == 2.0
+
+    def test_concurrent_first_use_creates_one_child(self):
+        registry = MetricsRegistry()
+        threads_n = 8
+        barrier = threading.Barrier(threads_n)
+        seen = []
+
+        def first_use():
+            barrier.wait(timeout=10)
+            for _ in range(200):
+                child = registry.counter("c", stage="a")
+                child_again = registry.counter("c", stage="a")
+                seen.append((child, child_again))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=first_use) for _ in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == threads_n * 200
+        assert len({id(c) for pair in seen for c in pair}) == 1
+        assert len(registry.families()[0].children) == 1
 
 
 class TestTracer:

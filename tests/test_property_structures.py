@@ -1,11 +1,14 @@
 """Property-based tests for union-find, OrgMapping, URL handling, and the
 extraction engine's hallucination guard."""
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mapping import OrgMapping
-from repro.core.merge import UnionFind, merge_clusters
+from repro.core.merge import UnionFind, merge_clusters, reduce_shard_clusters
 from repro.errors import URLError
 from repro.llm.extraction_engine import extract_siblings, find_all_numbers
 from repro.web.url import normalize_url, parse_url, registrable_domain
@@ -42,6 +45,58 @@ def test_merge_order_invariant(a, b):
     one = {frozenset(c) for c in merge_clusters([a, b])}
     two = {frozenset(c) for c in merge_clusters([b, a])}
     assert one == two
+
+
+def _saved_bytes(universe, feature_lists):
+    mapping = OrgMapping(
+        universe,
+        [cluster for clusters in feature_lists for cluster in clusters],
+        method="borges[test]",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mapping.json"
+        mapping.save(path)
+        return path.read_bytes()
+
+
+#: Sparser features than ``cluster_list_strategy`` (small clusters over
+#: more ASNs), so most examples keep several multi-ASN organizations
+#: apart instead of merging into one component.
+_sparse_asn = st.integers(min_value=1, max_value=120)
+_feature_lists = st.lists(
+    st.lists(st.frozensets(_sparse_asn, min_size=1, max_size=5), max_size=10),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(
+    st.frozensets(_sparse_asn, max_size=20),
+    _feature_lists,
+    st.randoms(use_true_random=False),
+    st.integers(min_value=1, max_value=4),
+)
+def test_merge_order_invariant_on_saved_bytes(
+    undelegated, feature_lists, rng, n_shards
+):
+    # Merge order must not reach the saved mapping: not the order of the
+    # feature lists, of the clusters in each, nor of the members in each
+    # cluster (merge_clusters roots each cluster at its first member).
+    # Members outside the universe are dropped after the merge.
+    universe = set(range(1, 121)) - undelegated
+    reference = _saved_bytes(universe, feature_lists)
+    shuffled = []
+    for clusters in feature_lists:
+        permuted = [rng.sample(sorted(c), len(c)) for c in clusters]
+        rng.shuffle(permuted)
+        shuffled.append(permuted)
+    rng.shuffle(shuffled)
+    assert _saved_bytes(universe, shuffled) == reference
+    # Split across shards: each consolidates its share, the reduce unions.
+    flat = [cluster for clusters in shuffled for cluster in clusters]
+    shards = [flat[i::n_shards] for i in range(n_shards)]
+    reduced = reduce_shard_clusters(merge_clusters([s]) for s in shards)
+    assert _saved_bytes(universe, [reduced]) == reference
 
 
 @given(st.lists(st.tuples(asn_strategy, asn_strategy), max_size=40))

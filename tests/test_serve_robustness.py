@@ -798,6 +798,24 @@ class TestHTTPHardening:
         assert headers["connection"] == "close"
         assert json.loads(body)["error" if expected != 200 else "status"]
 
+    @pytest.mark.parametrize(
+        "head, expected",
+        [
+            ("POST /v1/admin/rollback HTTP/1.1\r\nContent-Length: 2", 409),
+            ("POST /v1/nowhere HTTP/1.1\r\nContent-Length: 2", 404),
+            ("GET /healthz HTTP/1.1\r\nContent-Length: 2", 200),
+        ],
+        ids=["rollback", "unknown-post-route", "get-with-body"],
+    )
+    def test_unread_body_closes_the_connection(self, server, head, expected):
+        # The handler never reads "{}"; kept on the connection it would
+        # prefix the pipelined GET and answer "501 unsupported method
+        # '{}GET'".  One answer, then close.
+        payload = head + "\r\n\r\n{}GET /healthz HTTP/1.1\r\n\r\n"
+        responses = _split_responses(_wire(server, payload.encode()))
+        assert [status for status, _, _ in responses] == [expected]
+        assert responses[0][1]["connection"] == "close"
+
     def test_lower_case_traceparent_round_trips(self, server):
         trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"
         ((status, headers, _),) = _split_responses(_wire(server, (

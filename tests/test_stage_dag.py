@@ -21,9 +21,15 @@ import pytest
 
 from repro.analysis import factor_combination_table
 from repro.cli import main as cli_main
-from repro.config import TEST_UNIVERSE, BorgesConfig, ExecutorConfig
+from repro.config import (
+    TEST_UNIVERSE,
+    BorgesConfig,
+    ExecutorConfig,
+    UniverseConfig,
+)
 from repro.core import ArtifactStore, BorgesPipeline, build_stage_graph
 from repro.core import stages as stages_mod
+from repro.core.mapping import OrgMapping
 from repro.core.web_inference import WebInferenceModule
 from repro.metrics import org_factor_from_mapping
 from repro.universe import generate_universe
@@ -135,6 +141,44 @@ class TestDegradedRuns:
         statuses = {r["stage"]: r["status"] for r in result.stage_records}
         assert statuses["ner_extract"] == "failed"
         assert statuses["notes_aka"] == "skipped"
+
+
+# ---------------------------------------------------------------------------
+# Codec canonicality
+
+
+def exact(value):
+    """*value* with everything equality may ignore made explicit: dict
+    order, sequence types, dataclass types, and OrgMapping by to_json()."""
+    if isinstance(value, OrgMapping):
+        return ("OrgMapping", exact(value.to_json()))
+    if isinstance(value, dict):
+        return ("dict", [(k, exact(v)) for k, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [exact(v) for v in value])
+    if dataclasses.is_dataclass(value):
+        return (
+            type(value).__name__,
+            [(f.name, exact(getattr(value, f.name)))
+             for f in dataclasses.fields(value)],
+        )
+    return (type(value).__name__, value)
+
+
+@pytest.mark.parametrize("seed", [3, 11])  # the equivalence-matrix seeds
+def test_produce_is_canonical(seed):
+    # A computed value goes downstream without a codec round trip, so it
+    # must already be what decode(encode(value)) rebuilds on a cache hit.
+    universe = generate_universe(UniverseConfig(seed=seed, n_organizations=100))
+    pipeline = make_pipeline(universe)
+    executor = pipeline._make_executor(ArtifactStore())
+    outcome = executor.execute()
+    assert set(outcome.values) == set(stages_mod.ALL_STAGES)
+    for name, spec in executor.graph.items():
+        assert outcome.records[name].source == "computed", name
+        value = outcome.values[name]
+        decoded = spec.decode(spec.encode(value), executor.ctx)
+        assert exact(decoded) == exact(value), name
 
 
 # ---------------------------------------------------------------------------

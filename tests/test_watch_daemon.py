@@ -421,3 +421,30 @@ class TestWatchServeSurface:
         with QueryServer(service) as server:
             status, body = _get(server, "/v1/admin/watch")
             assert status == 404
+
+
+class TestWatchCommand:
+    def test_cycle_digests_each_dataset_once(self, monkeypatch, tmp_path, capsys):
+        # The unsharded runner reuses the digests BorgesPipeline took at
+        # construction instead of hashing both datasets a second time.
+        from repro.cli import main
+        from repro.peeringdb import PDBSnapshot
+        from repro.whois import WhoisDataset
+
+        calls = {"whois": 0, "pdb": 0}
+        for name, cls in (("whois", WhoisDataset), ("pdb", PDBSnapshot)):
+            real = cls.content_digest
+
+            def counted(self, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self)
+
+            monkeypatch.setattr(cls, "content_digest", counted)
+        with use_registry():
+            assert main([
+                "--seed", "5", "--orgs", "60", "watch",
+                "--archive", str(tmp_path / "archive"),
+                "--cycles", "2", "--interval", "0", "--evolve", "--no-http",
+            ]) == 0
+        assert "watch stopped after 2 cycles" in capsys.readouterr().out
+        assert calls == {"whois": 2, "pdb": 2}
