@@ -18,7 +18,11 @@ failure mode the daemon claims to survive:
   one and leave the active generation untouched;
 * **one corrupt archive entry** — mid-soak, an archived generation is
   bit-flipped on disk; a time-travel query for it must answer 404 (and
-  quarantine the file), never a 5xx, and never touch the active path.
+  quarantine the file), never a 5xx, and never touch the active path;
+* **one corrupt archived blob** — the blob a retired generation is
+  served from (time travel answers from the archived blob, not a
+  rebuild) is bit-flipped; ``?gen=N`` and a ``/v1/diff`` touching that
+  generation must answer 404 and the blob must be quarantined.
 
 A second scenario exercises *sharded* refreshes: a refresh that loses a
 shard to chaos produces a salvaged (coverage-reduced) mapping that the
@@ -111,6 +115,35 @@ def fetch(url: str):
         return exc.code, json.loads(exc.read())
 
 
+def corrupt_retired_blob(archive, store, base: str, gen: int) -> int:
+    """Bit-flip the archived blob of retired generation *gen*, which no
+    reader has loaded: time travel and a diff through it must answer 404
+    and the blob must be quarantined.  Returns *gen*."""
+    expect(
+        gen > 0 and store.current().archive_generation != gen,
+        f"reserved gen {gen} is retired",
+    )
+    path = archive.blob_path(gen)
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    code, body = fetch(f"{base}/v1/asn/{UNIVERSE[0]}?gen={gen}")
+    expect(
+        code == 404,
+        f"corrupt blob of gen {gen} answers 404 "
+        f"({body.get('error', '')[:40]}...)",
+    )
+    expect(
+        path.with_name(path.name + QUARANTINE_SUFFIX).exists()
+        and not path.exists(),
+        "corrupt blob quarantined on disk",
+    )
+    active = store.current().archive_generation
+    code, _ = fetch(f"{base}/v1/diff?from={gen}&to={active}")
+    expect(code == 404, f"/v1/diff?from={gen}&to={active} answers 404")
+    return gen
+
+
 def run_soak(cycles: int, seed: int) -> int:
     registry = MetricsRegistry()
     injector = FaultInjector(
@@ -167,16 +200,18 @@ def run_soak(cycles: int, seed: int) -> int:
 
         # gen -> [publish step or None, sha256 of file when first seen]
         published: dict = {}
-        # The second published generation is reserved for the corruption
-        # scenario: loadgen never time-travels to it, so its index is
-        # never decoded into the store's LRU cache — the corrupt bytes
-        # MUST be noticed on the (first) disk read.
-        reserved: dict = {"gen": 0}
+        # The second and third published generations are reserved for
+        # the corruption scenarios (entry, then blob): loadgen never
+        # time-travels to them, so their indexes never reach the store's
+        # LRU cache — the corrupt bytes MUST be noticed on the (first)
+        # disk read.
+        reserved: dict = {"entry": 0, "blob": 0}
         outcomes: list = []
         statuses: list = []
         stop = threading.Event()
         kills = 0
         corrupted_gen = 0
+        corrupted_blob_gen = 0
 
         def snapshot_archive_bytes() -> None:
             for gen in archive.generations():
@@ -202,7 +237,7 @@ def run_soak(cycles: int, seed: int) -> int:
                     paths = [f"/v1/asn/{asn}", "/healthz", "/v1/admin/watch"]
                     gens = sorted(
                         g for g, v in list(published.items())
-                        if v[0] is not None and g != reserved["gen"]
+                        if v[0] is not None and g not in reserved.values()
                     )
                     if gens:
                         paths.append(f"/v1/asn/{asn}?gen={gens[i % len(gens)]}")
@@ -254,8 +289,10 @@ def run_soak(cycles: int, seed: int) -> int:
                     publishes = sorted(
                         g for g, v in published.items() if v[0] is not None
                     )
-                    if len(publishes) == 2 and not reserved["gen"]:
-                        reserved["gen"] = publishes[1]
+                    if len(publishes) == 2 and not reserved["entry"]:
+                        reserved["entry"] = publishes[1]
+                    if len(publishes) == 3 and not reserved["blob"]:
+                        reserved["blob"] = publishes[2]
                 if state["mode"] == "regress":
                     expect(
                         outcome == "gate_blocked",
@@ -282,15 +319,18 @@ def run_soak(cycles: int, seed: int) -> int:
                     expect(
                         outcome == "published", "cycle 1 published gen 1"
                     )
+                    # Daemon threads: a failed expect() exits the
+                    # process instead of leaving loadgen spinning.
                     threads = [
-                        threading.Thread(target=loadgen) for _ in range(3)
+                        threading.Thread(target=loadgen, daemon=True)
+                        for _ in range(3)
                     ]
                     for t in threads:
                         t.start()
-                if n == cycles // 2 and reserved["gen"]:
+                if n == cycles // 2 and reserved["entry"]:
                     # The corrupt-snapshot scenario: bit-flip the
                     # reserved entry, which no reader has decoded yet.
-                    corrupted_gen = reserved["gen"]
+                    corrupted_gen = reserved["entry"]
                     path = archive.root / f"gen-{corrupted_gen:06d}.json"
                     raw = bytearray(path.read_bytes())
                     raw[len(raw) // 2] ^= 0xFF
@@ -310,6 +350,10 @@ def run_soak(cycles: int, seed: int) -> int:
                         ).exists(),
                         "corrupt entry quarantined on disk",
                     )
+                    corrupted_blob_gen = corrupt_retired_blob(
+                        archive, store, base, reserved["blob"]
+                    )
+                    published.pop(corrupted_blob_gen, None)
 
             stop.set()
             for t in threads:
@@ -366,8 +410,9 @@ def run_soak(cycles: int, seed: int) -> int:
             ),
             "no dataset digest published twice",
         )
+    expect(corrupted_blob_gen > 0, "blob corruption scenario ran")
     print(f"watch soak passed: {cycles} cycles, {kills} kills, "
-          f"corrupted gen {corrupted_gen}")
+          f"corrupted gen {corrupted_gen}, corrupted blob {corrupted_blob_gen}")
     return 0
 
 

@@ -169,12 +169,13 @@ class ResilienceConfig:
 class ExecutorConfig:
     """Stage-DAG execution knobs.
 
-    ``max_workers`` bounds how many *independent* ready stages run
-    concurrently; stages sharing a resource (the LLM client, the web
-    driver) are serialised regardless, and an active fault profile forces
-    sequential execution so seeded chaos stays a pure function of call
-    order.  ``artifact_cache_dir`` persists stage artifacts to disk so a
-    later process re-runs warm (the CLI's ``--artifact-cache``).
+    ``max_workers`` bounds how many shards of a sharded run
+    (:func:`~repro.core.pipeline.run_sharded`) execute at once; an active
+    fault profile runs them one at a time so seeded chaos stays a pure
+    function of call order.  Within one pipeline the stages run one after
+    another on the calling thread.  ``artifact_cache_dir`` persists stage
+    artifacts to disk so a later process re-runs warm (the CLI's
+    ``--artifact-cache``).
     """
 
     max_workers: int = 4

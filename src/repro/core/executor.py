@@ -1,17 +1,18 @@
-"""The stage executor: topological, cached, concurrent, isolated.
+"""The stage executor: topological, cached, isolated.
 
 :class:`StageExecutor` takes a resolved stage graph (see
 :mod:`repro.core.stages`) and drives it to completion:
 
-* **Topological order** — Kahn's algorithm with a sorted ready set, so
-  scheduling is deterministic run-to-run.
+* **Topological order** — stages run one at a time on the calling
+  thread, in the graph's own order (``build_stage_graph`` returns it
+  topologically sorted), so scheduling is deterministic run-to-run.
+  Every stage is pure-Python CPU work under one GIL, so there is no
+  concurrency to win inside one run; a sharded run fans out across
+  shards instead (:func:`repro.core.pipeline.run_sharded`).
 * **Incrementality** — each stage's fingerprint is computed *before* it
   runs (fingerprints are input-addressed: config slice + dataset digests
   + upstream fingerprints), so a cache hit skips the work entirely and
   :meth:`plan` can predict hits without executing anything.
-* **Concurrency** — independent ready stages run on a thread pool;
-  stages declaring a shared resource (the LLM client, the web driver)
-  are serialised by per-resource locks.
 * **Isolation** — an optional stage's failure marks it ``failed`` and
   skips its dependents; backbone failures abort the run.  The old
   hand-written rr-salvage logic falls out of the DAG shape: rr depends
@@ -23,23 +24,16 @@ counted in ``pipeline_stage_runs_total{stage,outcome}``.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..logutil import get_logger
-from ..obs.context import (
-    current_trace_context,
-    new_trace_context,
-    use_trace_context,
-)
+from ..obs.context import current_trace_context, use_trace_context
 from ..obs.log import get_event_log
 from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.tracer import Span, Tracer, get_tracer
+from ..obs.tracer import Tracer, get_tracer
 from .artifacts import ArtifactStore, compute_fingerprint, make_artifact
 from .stages import StageContext, StageSpec
 
@@ -90,10 +84,6 @@ class ExecutionOutcome:
             if record.status == "failed"
         }
 
-    @property
-    def cached_count(self) -> int:
-        return sum(1 for r in self.records.values() if r.status == "cached")
-
 
 class StageExecutor:
     """Runs one stage graph against one context and artifact store."""
@@ -103,14 +93,12 @@ class StageExecutor:
         graph: "OrderedDict[str, StageSpec]",
         store: ArtifactStore,
         ctx: StageContext,
-        max_workers: int = 4,
         salt: Optional[object] = None,
         extra_labels: Optional[Mapping[str, str]] = None,
     ) -> None:
         self.graph = graph
         self.store = store
         self.ctx = ctx
-        self.max_workers = max(1, int(max_workers))
         self.salt = salt
         #: Extra metric labels / span attributes stamped on every stage
         #: this executor runs (a sharded run passes ``{"shard": "3"}``,
@@ -120,10 +108,6 @@ class StageExecutor:
         self.extra_labels: Dict[str, str] = {
             str(k): str(v) for k, v in (extra_labels or {}).items()
         }
-        self._resource_locks: Dict[str, threading.Lock] = {}
-        for spec in graph.values():
-            for resource in spec.resources:
-                self._resource_locks.setdefault(resource, threading.Lock())
 
     @property
     def _tracer(self) -> Tracer:
@@ -195,166 +179,85 @@ class StageExecutor:
             outcome.records[name] = StageRecord(
                 stage=name, feature=spec.feature, backbone=spec.backbone
             )
-
-        indegree = {name: len(spec.deps) for name, spec in self.graph.items()}
-        dependents: Dict[str, List[str]] = {name: [] for name in self.graph}
-        for name, spec in self.graph.items():
-            for dep in spec.deps:
-                dependents[dep].append(name)
-
-        ready = sorted(n for n, d in indegree.items() if d == 0)
         fingerprints: Dict[str, str] = {}
-        done: set = set()
-        backbone_error: Optional[BaseException] = None
-        parent_span: Optional[Span] = self._tracer.current
-        # Capture the run's trace context here, on the scheduling thread:
-        # contextvars do not cross into pool workers, so run_stage
-        # re-installs it explicitly and every stage's spans and events
-        # share the run's trace ID.
-        run_context = current_trace_context() or new_trace_context()
-
-        def resolve_skips(name: str) -> Optional[str]:
-            """Why *name* cannot run, or None if it can."""
-            spec = self.graph[name]
-            lost = [
-                dep
-                for dep in spec.deps
-                if outcome.records[dep].status in ("failed", "skipped")
-            ]
-            if lost and spec.require_all_deps:
-                return "dependency failed: " + ", ".join(sorted(lost))
-            return None
-
-        def finish(name: str) -> None:
-            """Mark *name* finished and promote newly-ready dependents."""
-            done.add(name)
-            for dependent in dependents[name]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    ready.append(dependent)
-            ready.sort()
-
-        def run_stage(name: str) -> Tuple[str, Optional[BaseException]]:
-            spec = self.graph[name]
-            record = outcome.records[name]
-            start = time.perf_counter()
-            try:
-                with use_trace_context(run_context):
-                    with self._tracer.attach(parent_span):
-                        with self._tracer.span("stage." + name) as span:
-                            for key, value in self.extra_labels.items():
-                                span.set_attribute(key, value)
-                            self._run_one(spec, record, fingerprints, outcome)
-                            span.set_attribute("status", record.status)
-                            span.set_attribute("source", record.source)
-                            if record.fingerprint:
-                                span.set_attribute(
-                                    "fingerprint", record.fingerprint[:16]
-                                )
-                error: Optional[BaseException] = None
-            except BaseException as exc:  # noqa: BLE001 - isolation boundary
-                record.status = "failed"
-                record.error = f"{type(exc).__name__}: {exc}"
-                error = exc
-            record.duration = time.perf_counter() - start
-            self._metrics.counter(
-                "pipeline_stage_runs_total",
-                "stage executions by outcome",
-                **dict(self.extra_labels, stage=name, outcome=record.status),
-            ).inc()
-            with use_trace_context(run_context):
-                get_event_log().emit(
-                    "stage.finish",
-                    severity="warning" if record.status == "failed" else "info",
-                    stage=name,
-                    status=record.status,
-                    source=record.source,
-                    duration_ms=round(record.duration * 1e3, 3),
-                    fingerprint=record.fingerprint[:16],
-                    error=record.error,
+        # One trace context for the whole run, so every stage's spans and
+        # events share the run's trace ID.
+        with use_trace_context(current_trace_context()):
+            for name, spec in self.graph.items():
+                record = outcome.records[name]
+                lost = sorted(
+                    dep
+                    for dep in spec.deps
+                    if outcome.records[dep].status in ("failed", "skipped")
                 )
-            if record.status == "failed" and not spec.backbone:
-                self._metrics.counter(
-                    "pipeline_feature_failures_total",
-                    "features lost to errors (run degraded)",
-                    **dict(self.extra_labels, feature=spec.feature or name),
-                ).inc()
-                _LOG.warning(
-                    "stage %s failed, continuing degraded: %s",
-                    name,
-                    record.error,
-                )
-            return name, error
-
-        pool: Optional[ThreadPoolExecutor] = None
-        if self.max_workers > 1:
-            pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="borges-stage",
-            )
-        try:
-            running: Dict[object, str] = {}
-            while (ready or running) and backbone_error is None:
-                while ready:
-                    name = ready.pop(0)
-                    skip_reason = resolve_skips(name)
-                    if skip_reason is not None:
-                        record = outcome.records[name]
-                        record.status = "skipped"
-                        record.error = skip_reason
-                        self._metrics.counter(
-                            "pipeline_stage_runs_total",
-                            "stage executions by outcome",
-                            **dict(
-                                self.extra_labels,
-                                stage=name,
-                                outcome="skipped",
-                            ),
-                        ).inc()
-                        finish(name)
-                        continue
-                    if pool is None:
-                        finished, error = run_stage(name)
-                        if error is not None and self.graph[name].backbone:
-                            backbone_error = error
-                        finish(finished)
-                        if backbone_error is not None:
-                            break
-                    else:
-                        running[pool.submit(run_stage, name)] = name
-                if pool is not None and running:
-                    completed, _pending = wait(
-                        set(running), return_when=FIRST_COMPLETED
-                    )
-                    for future in sorted(
-                        completed, key=lambda f: running[f]
-                    ):
-                        running.pop(future)
-                        finished, error = future.result()
-                        if error is not None and self.graph[finished].backbone:
-                            backbone_error = error
-                        finish(finished)
-            if pool is not None and running:
-                # A backbone stage failed: let in-flight stages drain, but
-                # schedule nothing new.
-                for future in wait(set(running)).done:
-                    name = running.get(future)
-                    if name is not None:
-                        finished, error = future.result()
-                        finish(finished)
-                running.clear()
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-        for name, record in outcome.records.items():
-            if record.status == "pending":
-                record.status = "skipped"
-                record.error = record.error or "not reached (run aborted)"
-
-        if backbone_error is not None:
-            raise backbone_error
+                if lost and spec.require_all_deps:
+                    record.status = "skipped"
+                    record.error = "dependency failed: " + ", ".join(lost)
+                    self._count_run(name, "skipped")
+                    continue
+                error = self._run_stage(spec, record, fingerprints, outcome)
+                if error is not None and spec.backbone:
+                    for later in outcome.records.values():
+                        if later.status == "pending":
+                            later.status = "skipped"
+                            later.error = "not reached (run aborted)"
+                    raise error
         return outcome
+
+    def _count_run(self, name: str, status: str) -> None:
+        self._metrics.counter(
+            "pipeline_stage_runs_total",
+            "stage executions by outcome",
+            **dict(self.extra_labels, stage=name, outcome=status),
+        ).inc()
+
+    def _run_stage(
+        self,
+        spec: StageSpec,
+        record: StageRecord,
+        fingerprints: Dict[str, str],
+        outcome: ExecutionOutcome,
+    ) -> Optional[BaseException]:
+        """Run one stage inside its span; returns its error, if any."""
+        start = time.perf_counter()
+        error: Optional[BaseException] = None
+        try:
+            with self._tracer.span("stage." + spec.name) as span:
+                for key, value in self.extra_labels.items():
+                    span.set_attribute(key, value)
+                self._run_one(spec, record, fingerprints, outcome)
+                span.set_attribute("status", record.status)
+                span.set_attribute("source", record.source)
+                if record.fingerprint:
+                    span.set_attribute("fingerprint", record.fingerprint[:16])
+        except BaseException as exc:  # noqa: BLE001 - isolation boundary
+            record.status = "failed"
+            record.error = f"{type(exc).__name__}: {exc}"
+            error = exc
+        record.duration = time.perf_counter() - start
+        self._count_run(spec.name, record.status)
+        get_event_log().emit(
+            "stage.finish",
+            severity="warning" if record.status == "failed" else "info",
+            stage=spec.name,
+            status=record.status,
+            source=record.source,
+            duration_ms=round(record.duration * 1e3, 3),
+            fingerprint=record.fingerprint[:16],
+            error=record.error,
+        )
+        if record.status == "failed" and not spec.backbone:
+            self._metrics.counter(
+                "pipeline_feature_failures_total",
+                "features lost to errors (run degraded)",
+                **dict(self.extra_labels, feature=spec.feature or spec.name),
+            ).inc()
+            _LOG.warning(
+                "stage %s failed, continuing degraded: %s",
+                spec.name,
+                record.error,
+            )
+        return error
 
     def _run_one(
         self,
@@ -381,10 +284,7 @@ class StageExecutor:
             return
 
         inputs = {dep: outcome.values[dep] for dep in surviving}
-        with ExitStack() as locks:
-            for resource in sorted(spec.resources):
-                locks.enter_context(self._resource_locks[resource])
-            value = spec.produce(self.ctx, inputs)
+        value = spec.produce(self.ctx, inputs)
         payload = spec.encode(value)
         self.store.put(make_artifact(spec.name, fingerprint, payload))
         record.status = "ok"

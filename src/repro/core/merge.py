@@ -60,13 +60,12 @@ class UnionFind:
         return self.find(a) == self.find(b)
 
     def groups(self) -> List[Set[Hashable]]:
-        """All disjoint sets, deterministically ordered (largest first)."""
+        """All disjoint sets, largest first, ties by smallest member
+        (members must be mutually orderable, as ASNs are)."""
         by_root: Dict[Hashable, Set[Hashable]] = {}
         for item in self._parent:
             by_root.setdefault(self.find(item), set()).add(item)
-        return sorted(
-            by_root.values(), key=lambda group: (-len(group), min(map(repr, group)))
-        )
+        return sorted(by_root.values(), key=lambda group: (-len(group), min(group)))
 
 
 def reduce_shard_clusters(

@@ -279,20 +279,10 @@ class BorgesPipeline:
         store: ArtifactStore,
         stages: Optional[Sequence[str]] = None,
     ) -> StageExecutor:
-        graph = build_stage_graph(self._config, targets=stages)
-        # The fault injector's burst state depends on call order, so
-        # chaos runs are forced sequential to stay a pure function of
-        # (profile, seed).
-        max_workers = (
-            1
-            if self._fault_injector is not None
-            else self._config.executor.max_workers
-        )
         return StageExecutor(
-            graph,
+            build_stage_graph(self._config, targets=stages),
             store,
             self._stage_context(),
-            max_workers=max_workers,
             salt=self._fingerprint_salt,
             extra_labels=self._metric_labels,
         )
@@ -445,24 +435,6 @@ class BorgesPipeline:
         diagnostics["resilience"] = resilience
         return diagnostics
 
-    def build_mapping(
-        self, features: Dict[str, FeatureClusters]
-    ) -> OrgMapping:
-        """Consolidate feature clusters over the WHOIS universe."""
-        all_clusters: List[Cluster] = []
-        for feature in features.values():
-            all_clusters.extend(feature.clusters)
-        org_names = {
-            asn: self._whois.org_name_of(asn) for asn in self._whois.asns()
-        }
-        label = "borges[" + ",".join(sorted(self._config.features)) + "]"
-        return OrgMapping(
-            universe=self._whois.asns(),
-            clusters=all_clusters,
-            method=label,
-            org_names=org_names,
-        )
-
 
 # -- sharded execution ---------------------------------------------------------
 
@@ -562,10 +534,11 @@ def run_sharded(
     degraded run converges to the clean byte-identical mapping by
     re-running only what's missing.
 
-    Shards run concurrently, bounded by ``config.executor.max_workers``,
-    except under an active fault profile, where shards run sequentially
-    (each shard's pipeline is already sequential under chaos) so
-    injected faults remain a pure function of the profile and seed.
+    Shards run concurrently, bounded by ``config.executor.max_workers``
+    (the only concurrency in a run: each shard's stage DAG runs on the
+    thread or child that runs the shard), except under an active fault
+    profile, where shards run sequentially so injected faults remain a
+    pure function of the profile and seed.
     Shard-surface chaos (``shard-crash``/``shard-hang``/``shard-flaky``)
     is drawn in the parent via
     :func:`~repro.resilience.faults.shard_fault_decision` and acted out

@@ -11,13 +11,14 @@ scrape stage::
              └──▶ favicons ──────────┘
 
 Each :class:`StageSpec` declares its dependencies, the config slice and
-dataset digests that enter its fingerprint, the resources it needs (so
-the executor can serialise stages sharing the LLM client or web driver),
-and a JSON codec.  Every ``produce`` returns the canonical value: the
-one its ``decode`` rebuilds from the encoded artifact (clusters in codec
-order, dicts in sorted key order).  The executor therefore hands a
-computed value downstream as is and decodes only on a cache hit, and
-cold and warm runs still hand downstream stages equal values.
+dataset digests that enter its fingerprint, and a JSON codec.
+:func:`build_stage_graph` returns the graph in topological order, and
+the executor runs it in that order on the calling thread.  Every
+``produce`` returns the canonical value: the one its ``decode``
+rebuilds from the encoded artifact (clusters in codec order, dicts in
+sorted key order).  The executor therefore hands a computed value
+downstream as is and decodes only on a cache hit, and cold and warm
+runs still hand downstream stages equal values.
 
 The DAG replaces the old hand-written feature flow in ``pipeline.py``:
 the rr-salvage special case is gone because rr depends only on the
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -82,10 +82,6 @@ ALL_STAGES: Tuple[str, ...] = (
     STAGE_MERGE,
 )
 
-#: Resources stages may contend on; the executor holds one lock per name.
-RESOURCE_LLM = "llm"
-RESOURCE_WEB = "web"
-
 
 @dataclass
 class StageContext:
@@ -132,7 +128,6 @@ class StageSpec:
     #: When False the stage runs with whatever dependencies survived
     #: (merge consolidates the surviving features).
     require_all_deps: bool = True
-    resources: FrozenSet[str] = frozenset()
     #: Keys of ``ctx.dataset_digests`` that enter this stage's fingerprint.
     datasets: Tuple[str, ...] = ()
     config_slice: Callable[[BorgesConfig], object] = lambda config: None
@@ -446,7 +441,6 @@ def _all_specs() -> "OrderedDict[str, StageSpec]":
         produce=_produce_ner_extract,
         encode=_encode_ner_extract,
         decode=_decode_ner_extract,
-        resources=frozenset((RESOURCE_LLM,)),
         datasets=("pdb",),
         config_slice=_ner_slice,
     )
@@ -464,7 +458,6 @@ def _all_specs() -> "OrderedDict[str, StageSpec]":
         produce=_produce_scrape,
         encode=_encode_scrape,
         decode=_decode_scrape,
-        resources=frozenset((RESOURCE_WEB,)),
         datasets=("pdb", "web"),
         config_slice=_scrape_slice,
     )
@@ -484,7 +477,6 @@ def _all_specs() -> "OrderedDict[str, StageSpec]":
         decode=_decode_favicons,
         deps=(STAGE_SCRAPE,),
         feature=FEATURE_FAVICONS,
-        resources=frozenset((RESOURCE_WEB, RESOURCE_LLM)),
         datasets=("web",),
         config_slice=_favicons_slice,
     )

@@ -83,10 +83,9 @@ class Span:
 class Tracer:
     """Builds span trees; one instance per process (or per test).
 
-    The active-span stack is *per thread*: the stage executor finishes
-    independent stages on worker threads, and each thread nests its spans
-    under whatever parent it :meth:`attach`\\ ed, without racing the main
-    thread's stack.  The root list is shared and lock-protected.
+    The active-span stack is *per thread*: a thread-mode shard or a
+    request handler nests its spans on its own stack without racing any
+    other thread's.  The root list is shared and lock-protected.
     """
 
     def __init__(self) -> None:
@@ -101,24 +100,6 @@ class Tracer:
             stack = []
             self._local.stack = stack
         return stack
-
-    @contextmanager
-    def attach(self, parent: Optional[Span]) -> Iterator[None]:
-        """Make *parent* this thread's active span for the duration.
-
-        Used by the stage executor to parent worker-thread spans under
-        the span that was active when the work was scheduled.  A ``None``
-        parent is a no-op, so callers need not special-case untraced runs.
-        """
-        if parent is None:
-            yield
-            return
-        stack = self._stack
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            stack.pop()
 
     @contextmanager
     def span(self, name: str, **attributes: object) -> Iterator[Span]:
@@ -164,10 +145,6 @@ class Tracer:
             node.duration = time.perf_counter() - start
             self._stack.pop()
             _LOG.debug("span %s took %.3fs (%s)", name, node.duration, node.status)
-
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
 
     def spans(self) -> List[Span]:
         """Root spans recorded so far."""

@@ -568,8 +568,8 @@ class SnapshotStore:
         """The index for one archive generation (active or historical).
 
         The active snapshot answers its own archive generation without
-        touching disk; anything else is loaded from the attached
-        archive — digest-verified — and cached in a bounded LRU.
+        touching disk; anything else is the generation's archived blob —
+        digest-verified — cached in a bounded LRU.
         Raises :class:`~repro.errors.UnknownGenerationError` when no
         archive is attached or the generation is not in it.
         """
@@ -591,10 +591,12 @@ class SnapshotStore:
             if cached is not None:
                 self._archive_cache.move_to_end(archive_generation)
                 return cached
-        # Decode outside the lock — archive reads are milliseconds-scale
-        # and must not stall the swap path.
-        mapping = self._archive.read_mapping(archive_generation)
-        index = MappingIndex.build(mapping)
+        # Read outside the lock — archive reads are milliseconds-scale
+        # and must not stall the swap path.  The entry read verifies the
+        # generation (a corrupt one is quarantined); the answers come
+        # from the blob it served live, names and countries included.
+        self._archive.read(archive_generation)
+        index = MappingIndex(self._archive.read_blob(archive_generation))
         with self._lock:
             self._archive_cache[archive_generation] = index
             while len(self._archive_cache) > self._archive_cache_limit:

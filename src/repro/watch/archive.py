@@ -1,13 +1,19 @@
 """The versioned snapshot archive: every published mapping, forever-ish.
 
 CAIDA ships AS2Org as dated, immutable releases; the archive is that
-discipline on disk.  Each published generation is one JSON file::
+discipline on disk.  Each published generation is one JSON entry plus
+the compiled read index it served live (names, websites and countries
+included), as a blob sidecar::
 
     archive/
       gen-000001.json        {"archive_generation": 1, "created": ...,
-      gen-000002.json         "label": ..., "dataset_digest": ...,
-      ...                     "mapping": <OrgMapping payload>,
-                              "digest": <digest over everything else>}
+      gen-000001.blob         "label": ..., "dataset_digest": ...,
+      gen-000002.json         "mapping": <OrgMapping payload>,
+      gen-000002.blob         "digest": <digest over everything else>}
+      ...
+
+Time travel and resume serve the blob; the entry is the commit point
+and carries the provenance.
 
 Three invariants, each enforced mechanically rather than by convention:
 
@@ -15,7 +21,8 @@ Three invariants, each enforced mechanically rather than by convention:
   (exclusive create) — a second write to the same generation raises
   :class:`~repro.errors.ArchiveImmutabilityError` before a byte lands.
   Generation numbers are never reused either: the next number is one
-  past the highest ever seen, *including* quarantined entries.
+  past the highest ever seen, *including* quarantined entries and
+  blobs left without an entry.
 * **Digest-verified on read.**  Every read recomputes the entry digest
   and the embedded mapping digest; a mismatch quarantines the file
   (renamed aside, same pattern as the serve store) and raises
@@ -100,10 +107,11 @@ class SnapshotArchive:
         return sorted(out)
 
     def _highest_ever(self) -> int:
-        """Highest generation number ever assigned, quarantined included."""
+        """Highest generation number ever assigned, quarantined entries
+        and entry-less blobs included."""
         highest = 0
         for path in self.root.iterdir():
-            match = re.match(r"^gen-(\d{6})\.json", path.name)
+            match = re.match(r"^gen-(\d{6})\.(?:json|blob)", path.name)
             if match:
                 highest = max(highest, int(match.group(1)))
         return highest
@@ -134,30 +142,27 @@ class SnapshotArchive:
     def publish(
         self,
         mapping: OrgMapping,
+        index,
         label: str = "",
         dataset_digest: str = "",
         meta: Optional[Dict[str, object]] = None,
-        index=None,
     ) -> Dict[str, object]:
         """Write *mapping* as the next generation; returns the entry header.
 
-        The write path is crash-ordered: prune first (so retention can
-        free the space this entry needs), check the disk floor, then
-        exclusive-create the file and fsync it.  A crash mid-write
-        leaves a partial file whose digest check fails on read — it is
-        quarantined there, and its generation number is burned, never
-        reassigned.
+        *index* is the :class:`~repro.serve.index.MappingIndex` the
+        generation serves; its blob is archived as the sidecar
+        ``gen-NNNNNN.blob`` that time travel and resume answer from.
 
-        With *index* (the already-built
-        :class:`~repro.serve.index.MappingIndex` for this mapping) its
-        blob is written as a sidecar (``gen-NNNNNN.blob``) **after** the
-        JSON entry is durable, so a multi-worker serve tier can map the
-        generation without re-building the index.  The sidecar is
-        strictly derived data: a crash between entry and sidecar leaves
-        a valid generation whose blob is simply absent (``read_blob``
-        says so), never the reverse — the same crash-ordering the watch
-        journal relies on.
+        The write path is crash-ordered: number the generation, prune
+        (so retention can free the space this entry needs), check the
+        disk floor, then exclusive-create and fsync the blob and only
+        then the JSON entry.  The entry is the commit point, so every
+        entry has its blob.  A crash between the two leaves a blob with
+        no entry: its number is burned (never reassigned) and the next
+        prune deletes the blob.  A crash mid-entry leaves a partial file
+        whose digest check fails on read — it is quarantined there.
         """
+        generation = self.next_generation()
         self.prune()
         if self.free_bytes_floor:
             free = self._free_bytes()
@@ -172,7 +177,6 @@ class SnapshotArchive:
                         "Publishes refused by the free-disk floor",
                     ).inc()
                     raise DiskPressureError(free, self.free_bytes_floor)
-        generation = self.next_generation()
         path = self._entry_path(generation)
         payload = mapping.to_json()
         payload["digest"] = stable_digest(
@@ -189,6 +193,7 @@ class SnapshotArchive:
         entry["digest"] = stable_digest(
             {k: v for k, v in entry.items() if k != "digest"}
         )
+        self._write_blob(generation, index)
         try:
             with open(path, "x", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, sort_keys=True))
@@ -196,8 +201,6 @@ class SnapshotArchive:
                 os.fsync(fh.fileno())
         except FileExistsError:
             raise ArchiveImmutabilityError(generation, str(path)) from None
-        if index is not None:
-            self._write_blob(generation, index)
         self._registry.counter(
             "watch_archive_publishes_total", "Generations written to the archive"
         ).inc()
@@ -245,12 +248,11 @@ class SnapshotArchive:
         """One generation's verified compiled blob.
 
         Raises :class:`~repro.errors.UnknownGenerationError` when the
-        generation has no sidecar (pre-sidecar entries, or a crash
-        between entry and sidecar) and
+        generation has no blob and
         :class:`~repro.errors.SnapshotIntegrityError` — after
-        quarantining the file — when the blob fails verification.
-        Sidecars are derived data, so a missing or corrupt one never
-        invalidates the JSON entry it rides along with.
+        quarantining the file — when the blob fails verification.  The
+        JSON entry stays readable either way; only serving that
+        generation is lost.
         """
         from ..serve.shm.blob import BlobFormatError, verify_blob
 
@@ -337,9 +339,6 @@ class SnapshotArchive:
         )
         return entry
 
-    def read_mapping(self, generation: int) -> OrgMapping:
-        return OrgMapping.from_json(self.read(generation)["mapping"])
-
     def header(self, generation: int) -> Dict[str, object]:
         """The entry minus its mapping payload (verified like a read)."""
         return {
@@ -354,12 +353,11 @@ class SnapshotArchive:
         Normal mode enforces ``max_entries`` and ``max_bytes``.
         Aggressive mode (disk pressure) keeps only the newest entry.
         The newest entry is never removed — the active generation's
-        provenance must survive any cleanup.
+        provenance must survive any cleanup.  Blobs whose entry is gone
+        (pruned, quarantined, or never written) are deleted too.
         """
         generations = self.generations()
         removed: List[int] = []
-        if not generations:
-            return removed
         keep_floor = 1  # the newest entry is sacred
         budget = 1 if aggressive else self.max_entries
         while len(generations) > max(keep_floor, budget):
@@ -379,12 +377,12 @@ class SnapshotArchive:
                 _LOG.warning(
                     "cannot prune archive generation %d: %s", generation, exc
                 )
-            # The blob sidecar is derived from the entry; it never
-            # outlives it.
-            try:
-                self.blob_path(generation).unlink()
-            except OSError:
-                pass
+        for path in self.root.glob("gen-*.blob"):
+            if not path.with_suffix(".json").exists():
+                try:
+                    path.unlink()
+                except OSError as exc:
+                    _LOG.warning("cannot prune %s: %s", path, exc)
         if removed:
             self._registry.counter(
                 "watch_archive_pruned_total",

@@ -263,10 +263,11 @@ class WatchDaemon:
         if published_gen <= self.journal.last_swapped_generation():
             return report
         # Published but never swapped: the kill-between-archive-and-swap
-        # window.  Install from the archive — digest-verified — instead
-        # of re-running the pipeline.
+        # window.  Install the archived blob — digest-verified, the very
+        # index the gate passed — instead of re-running the pipeline.
         try:
-            mapping = self.archive.read_mapping(published_gen)
+            self.archive.read(published_gen)
+            index = MappingIndex(self.archive.read_blob(published_gen))
         except (ReproError, OSError) as exc:
             _LOG.warning(
                 "cannot resume archived generation %d: %s", published_gen, exc
@@ -277,7 +278,6 @@ class WatchDaemon:
                 error=f"resume failed: {exc}",
             )
             return report
-        index = MappingIndex.build(mapping)
         snapshot = self.store.swap(
             index,
             source="watch-resume",
@@ -408,9 +408,8 @@ class WatchDaemon:
                 label=result.label or f"cycle {self.cycles}",
                 dataset_digest=digest,
                 meta={"gate": decision.metrics},
-                # The gate already built this generation's index; its
-                # blob, archived as a sidecar, lets a multi-worker serve
-                # tier map it without rebuilding.
+                # The gate already built this generation's index; time
+                # travel and resume serve its archived blob.
                 index=candidate,
             )
         except ReproError as exc:

@@ -1,8 +1,8 @@
 """One equivalence matrix: the mapping is the same however it is computed.
 
-For each seeded small universe the reference is one cold, unsharded,
-default-executor ``BorgesPipeline.run()``.  Every other execution mode
-is one parametrized case that must reproduce two byte strings of the
+For each seeded small universe the reference is one cold, unsharded
+``BorgesPipeline.run()``.  Every other execution mode is one
+parametrized case that must reproduce two byte strings of the
 reference:
 
 * the saved mapping (``OrgMapping.save``), and
@@ -13,6 +13,10 @@ A leg also checks the precondition that makes it meaningful (the crash
 really quarantined a shard, the faults really fired, the warm run really
 hit the cache), so a mode that silently stops exercising itself fails
 here instead of passing vacuously.
+
+The same reference anchors one metamorphic relation of the paper:
+dropping any one feature never splits an organization of the full
+mapping (more features only merge, §5.3).
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from pathlib import Path
 import pytest
 
 from repro.config import (
+    ALL_FEATURES,
     BorgesConfig,
-    ExecutorConfig,
     ResilienceConfig,
     UniverseConfig,
 )
@@ -57,6 +61,7 @@ MIN_CACHED_FRACTION = 0.90
 class World:
     config: UniverseConfig
     universe: object
+    mapping: OrgMapping
     mapping_bytes: bytes
     blob: bytes
 
@@ -77,7 +82,7 @@ def world(request, tmp_path_factory):
         reference.mapping, universe.whois, universe.pdb,
         tmp_path_factory.mktemp(f"reference-{request.param}"),
     )
-    return World(config, universe, mapping_bytes, blob)
+    return World(config, universe, reference.mapping, mapping_bytes, blob)
 
 
 # -- legs: each returns (mapping, whois, pdb) --------------------------------
@@ -95,15 +100,6 @@ def sharded(n_shards, workers):
         return result.mapping, u.whois, u.pdb
 
     return leg
-
-
-def sequential(world, tmp_path):
-    u = world.universe
-    config = dataclasses.replace(
-        BorgesConfig(), executor=ExecutorConfig(max_workers=1)
-    )
-    result = BorgesPipeline(u.whois, u.pdb, u.web, config).run()
-    return result.mapping, u.whois, u.pdb
 
 
 def warm_fresh_interpreter(world, tmp_path):
@@ -210,7 +206,6 @@ LEGS = {
         for workers in ("thread", "process")
         for n in (1, 2, 3)
     },
-    "sequential": sequential,
     "warm-fresh-interpreter": warm_fresh_interpreter,
     "streamed-export": streamed_export,
     "crash-then-resume": crash_then_resume,
@@ -234,3 +229,25 @@ def test_mode_reproduces_reference(world, leg, tmp_path):
     mapping_bytes, blob = served_bytes(mapping, whois, pdb, tmp_path)
     assert mapping_bytes == world.mapping_bytes, f"{leg}: mapping differs"
     assert blob == world.blob, f"{leg}: served index differs"
+
+
+@pytest.mark.parametrize("feature", ALL_FEATURES)
+@pytest.mark.parametrize(
+    "world", SEEDS, indirect=True, scope="module",
+    ids=[f"seed{seed}" for seed in SEEDS],
+)
+def test_adding_a_feature_never_splits_an_org(world, feature):
+    """§5.3's monotonicity: a feature only adds sibling evidence, so every
+    org found without it lies inside one org of the full mapping."""
+    u = world.universe
+    rest = [f for f in ALL_FEATURES if f != feature]
+    config = BorgesConfig().with_features(*rest)
+    without = BorgesPipeline(u.whois, u.pdb, u.web, config).run().mapping
+    # Precondition: the feature really merges something at this seed.
+    assert len(without) > len(world.mapping), feature
+    split = [
+        sorted(cluster)
+        for cluster in without.multi_asn_clusters()
+        if len({world.mapping.org_index_of(asn) for asn in cluster}) > 1
+    ]
+    assert not split, f"adding {feature} split {len(split)} orgs: {split[:3]}"

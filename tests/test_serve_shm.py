@@ -32,7 +32,6 @@ from repro.digest import stable_digest
 from repro.errors import (
     SnapshotIntegrityError,
     UnknownASNError,
-    UnknownGenerationError,
     UnknownOrgError,
 )
 from repro.obs import use_registry
@@ -499,16 +498,6 @@ class TestArchiveBlobSidecar:
         raw = archive.read_blob(generation)
         assert MappingIndex(raw).digest == index.digest
 
-    def test_publish_without_index_has_no_sidecar(
-        self, borges_mapping, registry, tmp_path
-    ):
-        archive = SnapshotArchive(tmp_path / "archive", registry=registry)
-        entry = archive.publish(borges_mapping)
-        generation = entry["archive_generation"]
-        assert not archive.has_blob(generation)
-        with pytest.raises(UnknownGenerationError):
-            archive.read_blob(generation)
-
     def test_corrupt_sidecar_is_quarantined_without_killing_the_entry(
         self, borges_mapping, index, registry, tmp_path
     ):
@@ -547,7 +536,13 @@ class TestArchiveBlobSidecar:
     ):
         archive = SnapshotArchive(tmp_path / "archive", registry=registry)
         archive.publish(borges_mapping, index=index)
-        archive.publish(borges_mapping)
+        generation = archive.publish(borges_mapping, index=index)[
+            "archive_generation"
+        ]
+        path = archive.blob_path(generation)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(SnapshotIntegrityError):
+            archive.read_blob(generation)
         assert archive.stats()["blob_sidecars"] == 1
 
 

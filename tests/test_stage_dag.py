@@ -6,6 +6,7 @@ could not make:
 * a favicon-stage failure leaves rr intact *without re-running scrape*
   (the old code salvaged rr by re-running the whole web module);
 * a backbone failure (oid_w) still aborts the run;
+* every stage runs on the calling thread, in graph order;
 * two identical runs produce byte-identical artifacts and manifests;
 * the Table-6 sweep computes the shared scrape and NER extraction
   exactly once across all 16 feature combinations;
@@ -16,6 +17,7 @@ could not make:
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -141,6 +143,43 @@ class TestDegradedRuns:
         statuses = {r["stage"]: r["status"] for r in result.stage_records}
         assert statuses["ner_extract"] == "failed"
         assert statuses["notes_aka"] == "skipped"
+
+
+# ---------------------------------------------------------------------------
+# Execution thread
+
+
+def test_stages_run_on_the_calling_thread(small_universe, monkeypatch):
+    import repro.core.pipeline as pipeline_mod
+
+    seen = {}
+    original = pipeline_mod.build_stage_graph
+
+    def recording(spec):
+        def produce(ctx, inputs):
+            seen[spec.name] = (
+                threading.get_ident(),
+                [t.name for t in threading.enumerate()
+                 if t.name.startswith("borges-stage")],
+            )
+            return spec.produce(ctx, inputs)
+
+        return dataclasses.replace(spec, produce=produce)
+
+    def graph(*args, **kwargs):
+        specs = original(*args, **kwargs)
+        for name, spec in specs.items():
+            specs[name] = recording(spec)
+        return specs
+
+    monkeypatch.setattr(pipeline_mod, "build_stage_graph", graph)
+    make_pipeline(small_universe).run()
+    assert list(seen) == list(stages_mod.ALL_STAGES)  # graph order
+    caller = threading.get_ident()
+    assert {name: ident for name, (ident, _) in seen.items()} == {
+        name: caller for name in seen
+    }
+    assert not any(pool for _, pool in seen.values())
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ import json
 
 import pytest
 
+from repro.config import UniverseConfig
+from repro.core import BorgesPipeline
 from repro.core.mapping import OrgMapping
 from repro.obs import use_registry
 from repro.resilience import PROFILES, FaultInjector
 from repro.resilience.faults import FaultProfile
-from repro.serve import QueryServer, QueryService, SnapshotStore
+from repro.serve import MappingIndex, QueryServer, QueryService, SnapshotStore
+from repro.universe import generate_universe
 from repro.watch import (
     GateThresholds,
     RunJournal,
@@ -322,6 +325,85 @@ class TestCrashRecovery:
         assert report["resumed_generation"] == 0
         assert report["quarantined"] == []
         assert len(revived.journal) == entries_before
+
+
+def answers(query, asns):
+    """*query*'s answer per ASN, minus the fields that name the serving
+    generation rather than the answer."""
+    out = {}
+    for asn in asns:
+        response = dict(query(asn))
+        for key in ("generation", "archived", "stale"):
+            response.pop(key, None)
+        out[asn] = response
+    return out
+
+
+@pytest.fixture(scope="module")
+def borges_world():
+    """A real mapping plus the WHOIS/PDB the live index takes names,
+    websites and countries from."""
+    universe = generate_universe(UniverseConfig(seed=3, n_organizations=100))
+    result = BorgesPipeline(universe.whois, universe.pdb, universe.web).run()
+    return universe, result.mapping
+
+
+def world_result(world, digest):
+    universe, mapping = world
+    return WatchRunResult(
+        mapping=mapping,
+        dataset_digest=digest,
+        label=digest,
+        whois=universe.whois,
+        pdb=universe.pdb,
+    )
+
+
+class TestArchivedAnswersMatchLive:
+    """An archived generation answers exactly as it did live."""
+
+    def test_time_travel_from_a_fresh_service(
+        self, tmp_path, registry, borges_world
+    ):
+        asns = sorted(borges_world[0].whois.asns())
+        runner = ScriptedRunner(
+            world_result(borges_world, "d1"), run_result([{1, 2}], "d2")
+        )
+        daemon = build_daemon(tmp_path, registry, runner)
+        assert daemon.cycle() == "published"
+        live = answers(
+            QueryService(store=daemon.store, registry=registry).lookup_asn,
+            asns,
+        )
+        assert any(a["name"] and a["website"] for a in live.values())
+        assert daemon.cycle() == "published"
+        # A restarted server: nothing cached, generation 1 is retired.
+        store = SnapshotStore(registry=registry)
+        store.attach_archive(daemon.archive)
+        service = QueryService(store=store, registry=registry)
+        archived = answers(lambda asn: service.lookup_asn(asn, gen=1), asns)
+        assert archived == live
+
+    def test_resumed_generation_answers_as_live(
+        self, tmp_path, registry, borges_world
+    ):
+        profile = FaultProfile(
+            name="always-publish-crash", watch_publish_crash=1.0
+        ).validate()
+        runner = ScriptedRunner(world_result(borges_world, "d1"))
+        daemon = build_daemon(
+            tmp_path, registry, runner,
+            injector=FaultInjector(profile, seed=5),
+        )
+        with pytest.raises(SimulatedProcessKill):
+            daemon.cycle()
+        revived = build_daemon(tmp_path, registry, runner)
+        assert revived.recover()["resumed_generation"] == 1
+        universe, mapping = borges_world
+        live = MappingIndex.build(
+            mapping, whois=universe.whois, pdb=universe.pdb
+        )
+        assert revived.store.current().index.blob == live.blob
 
 
 def _get(server, path):
