@@ -80,10 +80,10 @@ def main() -> None:
 
     print("\nseeded Zipfian load against the in-process service:")
     generator = LoadGenerator(service, index.asns(), seed=7)
-    report = generator.run(50_000, sibling_fraction=0.1)
+    report = generator.run_overload(50_000, workers=1)
     print(f"  {report.requests:,} requests in "
           f"{report.elapsed_seconds:.3f}s = {report.qps:,.0f}/sec "
-          f"(mix: {report.mix})")
+          f"(p50 {report.admitted_p50 * 1e3:.3f} ms)")
 
     stats = service.stats()
     print(f"  response cache: {stats['response_cache']}")

@@ -53,10 +53,10 @@ from repro.config import UniverseConfig  # noqa: E402
 from repro.core import BorgesPipeline  # noqa: E402
 from repro.core.release import save_mapping_as2org  # noqa: E402
 from repro.obs import (  # noqa: E402
-    EventLog,
     MetricsRegistry,
     SLOConfig,
     SLOTracker,
+    use_event_log,
 )
 from repro.resilience import PROFILES, FaultInjector  # noqa: E402
 from repro.serve import (  # noqa: E402
@@ -342,11 +342,11 @@ def chaos_thundering_herd() -> int:
 def main() -> int:
     universe, mapping = _small_world()
 
-    service = QueryService(event_log=EventLog())
+    service = QueryService()
     service.store.load_from_mapping(
         mapping, whois=universe.whois, pdb=universe.pdb
     )
-    with QueryServer(service) as server:
+    with use_event_log() as events, QueryServer(service) as server:
         base = server.url
         print(f"server on {base}")
         index = service.store.current().index
@@ -389,7 +389,7 @@ def main() -> int:
         while not access and time.monotonic() < deadline:
             access = [
                 event
-                for event in service.event_log.events("http.access")
+                for event in events.events("http.access")
                 if event.get("trace_id") == trace_id
             ]
             if not access:

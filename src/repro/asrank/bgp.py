@@ -24,11 +24,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..logutil import get_logger
+from ..obs.log import get_event_log
 from ..types import ASN
 from .topology import ASTopology
-
-_LOG = get_logger("asrank.bgp")
 
 #: How a route was learned, ordered by export preference.
 _FROM_CUSTOMER = 0
@@ -128,9 +126,11 @@ def collect_paths(
                 continue
             path, _relation = entry
             announcements.append(RouteAnnouncement(path=tuple(path)))
-    _LOG.debug(
-        "collected %d announcements from %d collectors",
-        len(announcements), len(collectors),
+    get_event_log().emit(
+        "bgp.collected",
+        severity="debug",
+        announcements=len(announcements),
+        collectors=len(collectors),
     )
     return announcements
 

@@ -23,7 +23,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -33,9 +32,15 @@ from .baselines import build_as2org_mapping, build_as2orgplus_mapping
 from .config import ALL_FEATURES, BorgesConfig, UniverseConfig
 from .core import ALL_STAGES, BorgesPipeline
 from .experiments import EXPERIMENTS, ExperimentContext, run_experiment
-from .logutil import setup_logging
 from .metrics import org_factor_from_mapping
-from .obs import build_manifest, get_registry, get_tracer, write_manifest
+from .obs import (
+    build_manifest,
+    get_event_log,
+    get_registry,
+    get_tracer,
+    setup_logging,
+    write_manifest,
+)
 from .peeringdb import save_snapshot
 from .universe import generate_universe
 from .whois import save_as2org_file
@@ -48,7 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
-        "-v", "--verbose", action="store_true", help="debug logging"
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="print every event on stderr (default: warnings and errors)",
     )
     parser.add_argument(
         "--telemetry-out",
@@ -1142,13 +1150,11 @@ def _build_service(args: argparse.Namespace):
         exemplars = ExemplarStore(
             threshold=getattr(args, "exemplar_threshold_ms", 50.0) / 1e3
         )
-    event_log = None
     access_log = getattr(args, "access_log", None)
     if access_log is not None:
         # File-sinked log, installed globally so admission/store/executor
         # events land in the same JSONL stream as http.access.
-        event_log = EventLog(path=access_log)
-        set_event_log(event_log)
+        set_event_log(EventLog(path=access_log))
     service = QueryService(
         store=store,
         registry=registry,
@@ -1156,7 +1162,6 @@ def _build_service(args: argparse.Namespace):
         injector=injector,
         slo=slo,
         exemplars=exemplars,
-        event_log=event_log,
         access_log_sample=getattr(args, "access_log_sample", 1.0),
     )
     if args.snapshot is not None:
@@ -1263,7 +1268,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if sampler is not None:
             sampler.stop()
-        log = service.event_log
+        log = get_event_log()
         if log.path is not None:
             log.close()
     stats = service.stats()
@@ -1560,7 +1565,7 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    setup_logging(logging.DEBUG if args.verbose else logging.WARNING)
+    setup_logging("debug" if args.verbose else "warning")
     _RUN_ARTIFACTS.clear()
     status = _COMMANDS[args.command](args)
     if args.telemetry_out is not None:

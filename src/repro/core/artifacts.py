@@ -23,9 +23,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..digest import canonical_json, stable_digest
-from ..logutil import get_logger
-
-_LOG = get_logger("core.artifacts")
+from ..obs.log import get_event_log
 
 #: Bump when the artifact payload encoding changes incompatibly; the
 #: version participates in every fingerprint, so stale caches miss
@@ -159,7 +157,12 @@ class ArtifactStore:
                     self._count(stage, "disk_hits")
                     return artifact
             except (OSError, ValueError, KeyError) as exc:
-                _LOG.warning("unreadable artifact %s: %s", path, exc)
+                get_event_log().emit(
+                    "artifact.unreadable",
+                    severity="warning",
+                    path=str(path),
+                    error=str(exc),
+                )
         self._count(stage, "misses")
         return None
 
@@ -178,7 +181,12 @@ class ArtifactStore:
                     canonical_json(artifact.to_json()) + "\n", encoding="utf-8"
                 )
             except OSError as exc:
-                _LOG.warning("cannot persist artifact to %s: %s", path, exc)
+                get_event_log().emit(
+                    "artifact.persist_failed",
+                    severity="warning",
+                    path=str(path),
+                    error=str(exc),
+                )
         return artifact
 
     # -- accounting -------------------------------------------------------

@@ -26,11 +26,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..digest import stable_digest
-from ..logutil import get_logger
+from ..obs.log import get_event_log
 from ..runtime.journal import ChainedJournal
 from ..types import Cluster
-
-_LOG = get_logger("core.checkpoint")
 
 Pathish = Union[str, "Path"]  # noqa: F821 — typing nicety only
 
@@ -126,10 +124,7 @@ class RunCheckpoint:
         completed = self.completed_shards(identity)
         if self.identity() != identity:
             if self.identity() is not None:
-                _LOG.info(
-                    "checkpoint %s: identity changed, starting fresh",
-                    self.path,
-                )
+                get_event_log().emit("checkpoint.reset", path=str(self.path))
             self.reset()
             self._journal.append(
                 "begin", identity=identity, n_shards=int(n_shards)

@@ -29,15 +29,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from ..logutil import get_logger
 from ..obs.context import current_trace_context, use_trace_context
 from ..obs.log import get_event_log
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.tracer import Tracer, get_tracer
 from .artifacts import ArtifactStore, compute_fingerprint, make_artifact
 from .stages import StageContext, StageSpec
-
-_LOG = get_logger("core.executor")
 
 
 @dataclass
@@ -252,11 +249,6 @@ class StageExecutor:
                 "features lost to errors (run degraded)",
                 **dict(self.extra_labels, feature=spec.feature or spec.name),
             ).inc()
-            _LOG.warning(
-                "stage %s failed, continuing degraded: %s",
-                spec.name,
-                record.error,
-            )
         return error
 
     def _run_one(

@@ -20,15 +20,13 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..config import BorgesConfig
 from ..errors import LLMResponseError
-from ..logutil import get_logger
 from ..llm.client import ChatClient, ChatMessage
 from ..llm.extraction_engine import contains_number, find_all_numbers
 from ..llm.parsing import parse_extraction_reply
 from ..llm.prompts import render_extraction_prompt
+from ..obs.log import get_event_log
 from ..peeringdb import Network, PDBSnapshot
 from ..types import ASN, Cluster, is_valid_asn
-
-_LOG = get_logger("core.ner")
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,12 @@ class NERModule:
             parsed = parse_extraction_reply(response.content)
         except LLMResponseError as exc:
             self.stats.parse_failures += 1
-            _LOG.warning("unparsable extraction reply for AS%d: %s", net.asn, exc)
+            get_event_log().emit(
+                "ner.unparsable_reply",
+                severity="warning",
+                asn=net.asn,
+                error=str(exc),
+            )
             return NERRecordResult(
                 asn=net.asn, raw_extracted=(), siblings=(),
                 filtered_out=(), parse_failed=True,

@@ -43,12 +43,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..llm.extraction_engine import find_all_numbers
-from ..logutil import get_logger
 from ..types import ASN
 from ..web.url import parse_url
 from .merge import UnionFind
-
-_LOG = get_logger("core.partition")
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,6 @@ def partition_universe(
         n_components=len(components),
         largest_component=len(components[0]) if components else 0,
     )
-    _LOG.debug("partitioned: %s", plan.summary())
     return plan
 
 

@@ -30,7 +30,6 @@ from ..digest import dataset_digest, stable_digest
 from ..errors import DataError
 from ..llm.client import ChatClient
 from ..llm.simulated import make_default_client
-from ..logutil import get_logger
 from ..obs.process import record_peak_rss
 from ..obs.registry import DEFAULT_COUNT_BUCKETS, MetricsRegistry, get_registry
 from ..obs.tracer import Tracer, get_tracer
@@ -71,8 +70,6 @@ from .web_inference import (
     WebInferenceModule,
     WebInferenceResult,
 )
-
-_LOG = get_logger("core.pipeline")
 
 
 @dataclass(frozen=True)

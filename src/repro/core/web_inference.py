@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import BorgesConfig
 from ..errors import LLMResponseError
-from ..logutil import get_logger
 from ..llm.client import ChatClient
 from ..llm.parsing import parse_classifier_reply
 from ..llm.prompts import render_classifier_messages
+from ..obs.log import get_event_log
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.tracer import Tracer, get_tracer
 from ..peeringdb import PDBSnapshot
@@ -30,8 +30,6 @@ from ..web.blocklists import is_blocked_brand, is_blocked_final_url
 from ..web.favicon import FaviconAPI
 from ..web.scraper import HeadlessScraper
 from ..web.url import brand_label
-
-_LOG = get_logger("core.web_inference")
 
 #: WebInferenceStats fields owned by the favicon phase (the rest belong
 #: to the scrape and R&R phases).
@@ -326,7 +324,12 @@ class WebInferenceModule:
         try:
             verdict = parse_classifier_reply(response.content)
         except LLMResponseError as exc:
-            _LOG.warning("unparsable classifier reply for %s: %s", digest, exc)
+            get_event_log().emit(
+                "favicon.unparsable_reply",
+                severity="warning",
+                favicon=digest,
+                error=str(exc),
+            )
             return response.content, False
         return verdict.answer, verdict.is_company
 

@@ -9,7 +9,7 @@ across all ten experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..analysis import (
     factor_combination_table,
@@ -30,15 +30,12 @@ from ..core.artifacts import ArtifactStore
 from ..core.mapping import OrgMapping
 from ..core.pipeline import BorgesPipeline, BorgesResult
 from ..errors import ExperimentError
-from ..logutil import get_logger
 from ..metrics.org_factor import org_factor_from_mapping
 from ..obs.registry import get_registry
 from ..obs.tracer import get_tracer
 from ..universe import Universe, generate_universe
 from ..web.favicon import FaviconAPI
 from .report import Report
-
-_LOG = get_logger("experiments.runner")
 
 
 @dataclass
@@ -93,19 +90,21 @@ class ExperimentContext:
         )
 
 
-_CONTEXT_CACHE: Dict[Tuple[int, int], ExperimentContext] = {}
+_CONTEXT_CACHE: Dict[UniverseConfig, ExperimentContext] = {}
 
 
 def get_context(
     universe_config: Optional[UniverseConfig] = None,
 ) -> ExperimentContext:
-    """A memoized context for the given universe configuration."""
+    """A memoized context for the given universe configuration.
+
+    Keyed by the whole (frozen) config: two configs that differ in any
+    field build different universes.
+    """
     config = universe_config or UniverseConfig()
-    key = (config.seed, config.n_organizations)
-    if key not in _CONTEXT_CACHE:
-        _LOG.info("building experiment context for %s", key)
-        _CONTEXT_CACHE[key] = ExperimentContext.build(config)
-    return _CONTEXT_CACHE[key]
+    if config not in _CONTEXT_CACHE:
+        _CONTEXT_CACHE[config] = ExperimentContext.build(config)
+    return _CONTEXT_CACHE[config]
 
 
 # -- experiment implementations ------------------------------------------------

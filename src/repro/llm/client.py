@@ -17,14 +17,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..config import LLMConfig
 from ..errors import CircuitOpenError, LLMBackendError
-from ..logutil import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.policy import RetryPolicy
 from .cache import ResponseCache
 from .usage import TokenUsage, estimate_tokens
-
-_LOG = get_logger("llm.client")
 
 
 @dataclass(frozen=True)
@@ -260,10 +257,6 @@ class ChatClient:
                 "llm_backoff_seconds", "backoff slept before a retry",
                 backend=backend.name,
             ).observe(delay)
-            _LOG.warning(
-                "backend %s failed (attempt %d/%d, retrying in %.3fs): %s",
-                backend.name, attempt_no, self._policy.attempts, delay, exc,
-            )
 
         try:
             return self._policy.execute(attempt, key=key, on_retry=on_retry)

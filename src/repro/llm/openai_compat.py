@@ -27,10 +27,7 @@ from typing import Dict, List, Sequence
 
 from ..config import LLMConfig
 from ..errors import LLMBackendError
-from ..logutil import get_logger
 from .client import ChatBackend, ChatMessage, ImageContent, TextContent
-
-_LOG = get_logger("llm.openai_compat")
 
 
 def message_to_wire(message: ChatMessage) -> Dict[str, object]:

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..config import LLMConfig
 from ..errors import LLMInvalidRequestError
-from ..logutil import get_logger
 from .cache import ResponseCache
 from .classifier_engine import classify_group, decode_brand
 from .client import ChatBackend, ChatClient, ChatMessage
@@ -28,8 +27,6 @@ from .extraction_engine import (
 )
 from .parsing import render_extraction_reply
 from .prompts import CLASSIFIER_PROMPT_MARKER, EXTRACTION_PROMPT_MARKER
-
-_LOG = get_logger("llm.simulated")
 
 _EXTRACTION_FIELDS_RE = re.compile(
     r"The PeeringDB information for the ASN (?P<asn>\d+) is:\s*\n\n"

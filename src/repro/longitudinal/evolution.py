@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.mapping import OrgMapping
 from ..core.pipeline import BorgesPipeline
-from ..logutil import get_logger
 from ..metrics.org_factor import org_factor_from_mapping
+from ..obs.log import get_event_log
 from ..peeringdb import Network, Organization, PDBSnapshot
 from ..types import ASN, Cluster
 from ..universe.entities import Brand, GroundTruth, Org
@@ -34,8 +34,6 @@ from ..universe.generator import Universe
 from ..web.http import RedirectKind
 from ..web.simweb import SimulatedWeb, Site, make_favicon
 from ..whois import ASNDelegation, WhoisDataset, WhoisOrg
-
-_LOG = get_logger("longitudinal.evolution")
 
 
 @dataclass
@@ -385,9 +383,11 @@ def run_longitudinal_study(
             theta=org_factor_from_mapping(mapping),
             org_count=len(mapping),
         )
-        _LOG.info(
-            "year %d: theta=%.4f orgs=%d", result.year, result.theta,
-            result.org_count,
+        get_event_log().emit(
+            "evolution.year",
+            year=result.year,
+            theta=round(result.theta, 4),
+            orgs=result.org_count,
         )
         if previous is not None:
             report.merges.extend(

@@ -10,7 +10,8 @@ Composable but independent pieces:
   contextvar propagation (:func:`use_trace_context`), joining HTTP
   requests, span trees, events and exemplars under one trace ID;
 * :class:`EventLog` — structured JSONL events (bounded ring + optional
-  file sink) stamped with the current trace ID;
+  file sink) stamped with the current trace ID, and the only reporting
+  path: stderr renders the same events (:func:`setup_logging`);
 * :class:`SLOTracker` — rolling-window availability/latency objectives
   with multi-window burn-rate alerting, plus :class:`ExemplarStore`
   (slow-request span trees) and :class:`RuntimeSampler` (process gauges);
@@ -45,6 +46,7 @@ from .log import (
     EventLog,
     get_event_log,
     set_event_log,
+    setup_logging,
     use_event_log,
 )
 from .manifest import (
@@ -99,6 +101,7 @@ __all__ = [
     "EventLog",
     "get_event_log",
     "set_event_log",
+    "setup_logging",
     "use_event_log",
     "MANIFEST_SCHEMA_VERSION",
     "build_manifest",

@@ -1,11 +1,12 @@
-"""Structured JSONL event log: the durable record of what the system did.
+"""Structured JSONL event log: the one record of what the system did.
 
 Metrics answer "how many"; spans answer "how long"; the event log
-answers "what happened, in order, to *this* request".  An
-:class:`EventLog` holds a bounded in-memory ring (so a serving process
-can be interrogated over HTTP without unbounded growth) and optionally
-appends every retained event to a JSONL file sink (``borges serve
---access-log``).  Each event is one flat JSON object::
+answers "what happened, in order, to *this* request".  :meth:`EventLog.emit`
+is the only way the library reports an occurrence — there is no second,
+prose logging path.  An :class:`EventLog` holds a bounded in-memory ring
+(so a serving process can be interrogated over HTTP without unbounded
+growth) and optionally appends every retained event to a JSONL file sink
+(``borges serve --access-log``).  Each event is one flat JSON object::
 
     {"ts": 1754556000.123, "event": "http.access", "severity": "info",
      "trace_id": "4bf92f35…", "endpoint": "asn", "status": 200,
@@ -21,6 +22,15 @@ is touched, so a sampled-out event costs one random draw.  Severities
 follow stdlib logging (``debug`` < ``info`` < ``warning`` < ``error``)
 and events below ``min_severity`` are dropped at the source.
 
+**stderr is a rendering of the same events.**  Every retained event is
+also handed to the stdlib ``repro`` logger at its severity, as one
+``name key=value …`` line.  The library never configures that logger, so
+a library user sees warnings and errors the way Python's last-resort
+handler prints them; :func:`setup_logging` (called once by the CLI)
+installs a timestamped stderr handler and sets the threshold —
+``warning`` by default, ``debug`` under ``borges -v``.  Per-request
+events are ``info``, so serving writes nothing to stderr by default.
+
 Like the registry and tracer, a process-global instance backs
 zero-config emission (:func:`get_event_log`); tests and the CLI swap in
 a configured one via :func:`use_event_log`/:func:`set_event_log`.
@@ -29,7 +39,10 @@ a configured one via :func:`use_event_log`/:func:`set_event_log`.
 from __future__ import annotations
 
 import json
+import logging
 import random
+import re
+import sys
 import threading
 import time
 from collections import deque
@@ -44,6 +57,19 @@ from .context import current_trace_context
 SEVERITIES = ("debug", "info", "warning", "error")
 
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
+
+#: stdlib level per severity rank, for the stderr rendering.
+_LEVELS = (logging.DEBUG, logging.INFO, logging.WARNING, logging.ERROR)
+
+#: The logger events are rendered through; only :func:`setup_logging`
+#: gives it a handler or a level.
+_STDERR = logging.getLogger("repro")
+
+#: Event fields the rendered line already shows another way.
+_UNRENDERED = frozenset(("ts", "event", "severity"))
+
+#: String values that must be JSON-quoted to stay one ``key=value`` token.
+_NEEDS_QUOTES = re.compile(r'[\s"=]')
 
 #: Default in-memory ring capacity (events, not bytes).
 DEFAULT_CAPACITY = 2048
@@ -99,7 +125,9 @@ class EventLog:
         ``sample`` < 1 keeps that fraction of calls (seeded, so a run's
         kept set is reproducible).  Severities at ``warning`` and above
         are never sampled away — losing the rare events is exactly the
-        failure mode sampling must not introduce.
+        failure mode sampling must not introduce.  A retained event is
+        also rendered on stderr when the ``repro`` logger's threshold
+        admits its severity (see :func:`setup_logging`).
         """
         rank = _SEVERITY_RANK.get(severity)
         if rank is None:
@@ -134,6 +162,9 @@ class EventLog:
                 # are milliseconds-scale, and a buffered access log is
                 # useless to an operator tailing it live.
                 self._file.flush()
+        level = _LEVELS[rank]
+        if _STDERR.isEnabledFor(level):
+            _STDERR.log(level, _render(event))
         return event
 
     # -- reading -----------------------------------------------------------
@@ -189,21 +220,67 @@ class EventLog:
         self.close()
 
 
+def _render(event: Dict[str, object]) -> str:
+    """One event as the ``name key=value …`` line stderr shows.
+
+    Empty strings are left out: a field that says nothing (no error, no
+    quarantine path) only makes the line longer.
+    """
+    parts = [str(event["event"])]
+    for key, value in event.items():
+        if key in _UNRENDERED or value == "":
+            continue
+        if not isinstance(value, str) or _NEEDS_QUOTES.search(value):
+            value = json.dumps(value, default=str, separators=(",", ":"))
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a line is emitted, so a
+    redirected or captured stderr still receives the rendering."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):  # type: ignore[override]
+        return sys.stderr
+
+
+def setup_logging(severity: str = "warning") -> None:
+    """Render events at *severity* and above on stderr, timestamped.
+
+    Idempotent: a second call only moves the threshold.
+    """
+    rank = _SEVERITY_RANK.get(severity)
+    if rank is None:
+        raise ConfigError(f"unknown severity {severity!r}; known: {SEVERITIES}")
+    _STDERR.setLevel(_LEVELS[rank])
+    if not _STDERR.handlers:
+        handler = _StderrHandler()
+        handler.setFormatter(
+            logging.Formatter("%(asctime)s %(levelname)-7s %(message)s")
+        )
+        _STDERR.addHandler(handler)
+        _STDERR.propagate = False
+
+
 # -- process-global default ----------------------------------------------------
 
-_GLOBAL_EVENT_LOG = EventLog()
+_GLOBAL_EVENTS = EventLog()
 
 
 def get_event_log() -> EventLog:
     """The process-global event log instrumented modules default to."""
-    return _GLOBAL_EVENT_LOG
+    return _GLOBAL_EVENTS
 
 
 def set_event_log(log: EventLog) -> EventLog:
     """Swap the global event log; returns the previous one."""
-    global _GLOBAL_EVENT_LOG
-    previous = _GLOBAL_EVENT_LOG
-    _GLOBAL_EVENT_LOG = log
+    global _GLOBAL_EVENTS
+    previous = _GLOBAL_EVENTS
+    _GLOBAL_EVENTS = log
     return previous
 
 

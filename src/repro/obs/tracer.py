@@ -25,10 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from ..logutil import get_logger
 from .context import current_trace_context, generate_span_id, generate_trace_id
-
-_LOG = get_logger("obs.tracer")
 
 
 @dataclass
@@ -144,7 +141,6 @@ class Tracer:
         finally:
             node.duration = time.perf_counter() - start
             self._stack.pop()
-            _LOG.debug("span %s took %.3fs (%s)", name, node.duration, node.status)
 
     def spans(self) -> List[Span]:
         """Root spans recorded so far."""

@@ -29,9 +29,7 @@ from typing import Dict, List, Optional, Union
 
 from ..digest import stable_digest
 from ..errors import JournalIntegrityError
-from ..logutil import get_logger
-
-_LOG = get_logger("runtime.journal")
+from ..obs.log import get_event_log
 
 #: ``prev`` of the first entry — a fixed sentinel, not an empty string,
 #: so an attacker cannot splice a forged "first" entry mid-file.
@@ -63,6 +61,16 @@ class ChainedJournal:
 
     # -- replay ------------------------------------------------------------
 
+    def _drop_tail(self, reason: str) -> None:
+        """Count and report a dropped final line (the kill -9 artifact)."""
+        self.dropped_tail += 1
+        get_event_log().emit(
+            "journal.dropped_tail",
+            severity="warning",
+            path=str(self._path),
+            reason=reason,
+        )
+
     def _replay(self) -> None:
         if not self._path.exists():
             self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -80,11 +88,7 @@ class ChainedJournal:
             except ValueError as exc:
                 if last:
                     # The expected kill -9 artifact: a partial final line.
-                    self.dropped_tail += 1
-                    _LOG.warning(
-                        "journal %s: dropped unparseable final line (%s)",
-                        self._path, exc,
-                    )
+                    self._drop_tail(f"unparseable final line ({exc})")
                     break
                 raise JournalIntegrityError(
                     str(self._path), position, f"unparseable mid-file line: {exc}"
@@ -103,11 +107,7 @@ class ChainedJournal:
             )
             if not ok:
                 if last:
-                    self.dropped_tail += 1
-                    _LOG.warning(
-                        "journal %s: dropped final line with broken chain",
-                        self._path,
-                    )
+                    self._drop_tail("final line with broken chain")
                     break
                 raise JournalIntegrityError(
                     str(self._path),

@@ -33,10 +33,8 @@ from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ServeError
-from ..logutil import get_logger
+from ..obs.log import get_event_log
 from ..resilience.policy import RetryPolicy
-
-_LOG = get_logger("runtime.supervise")
 
 #: Fork start method: children inherit the thunk's closure by memory, so
 #: thunks need not be picklable; only results cross the pipe.
@@ -306,9 +304,14 @@ def run_supervised(
             heapq.heappush(
                 backoff, (time.monotonic() + delay, run.index, run.attempt + 1)
             )
-            _LOG.warning(
-                "supervised task %d attempt %d failed (%s: %s); retrying "
-                "in %.3fs", run.index, run.attempt + 1, reason, error, delay,
+            get_event_log().emit(
+                "supervise.retry",
+                severity="warning",
+                task=run.index,
+                attempt=run.attempt + 1,
+                reason=reason,
+                error=error,
+                delay_seconds=round(delay, 3),
             )
             return
         outcome = ForkedOutcome(

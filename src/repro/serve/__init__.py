@@ -49,7 +49,6 @@ from .diff import GenerationDiff, diff_indexes
 from .index import AsnRecord, MappingIndex, OrgRecord, org_handle, tokenize
 from .loadgen import (
     RESPONSE_CLASSES,
-    SLOWEST_REPORTED,
     HttpConnectionPool,
     LoadGenerator,
     LoadReport,
@@ -77,7 +76,6 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "RESPONSE_CLASSES",
-    "SLOWEST_REPORTED",
     "ZipfianSampler",
     "percentile",
     "PoolTopView",

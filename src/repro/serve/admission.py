@@ -175,9 +175,10 @@ class AdmissionController:
                 return Ticket(self, endpoint, deadline_at, queued_for=0.0)
             if self._queued >= limits.max_queue:
                 self._shed_total.inc()
+                # Per-request, so info: under overload a warning per
+                # shed request would flood stderr (the counter has the rate).
                 get_event_log().emit(
                     "admission.shed",
-                    severity="warning",
                     endpoint=endpoint,
                     inflight=self._inflight,
                     queued=self._queued,
@@ -200,7 +201,6 @@ class AdmissionController:
                         self._deadline_total.inc()
                         get_event_log().emit(
                             "admission.deadline",
-                            severity="warning",
                             endpoint=endpoint,
                             deadline_seconds=deadline_budget,
                         )

@@ -69,6 +69,7 @@ import socket
 import socketserver
 import threading
 import time
+import traceback
 from email.utils import formatdate
 from http import HTTPStatus
 from typing import Dict, Optional, Tuple
@@ -84,8 +85,7 @@ from ..errors import (
     UnknownGenerationError,
     UnknownOrgError,
 )
-from ..logutil import get_logger
-from ..obs import Tracer, render_prometheus
+from ..obs import Tracer, get_event_log, render_prometheus
 from ..obs.context import (
     TRACE_RESPONSE_HEADER,
     TRACEPARENT_HEADER,
@@ -95,8 +95,6 @@ from ..obs.context import (
     set_trace_context,
 )
 from .service import QueryService
-
-_LOG = get_logger("serve.httpd")
 
 #: Largest request body accepted by ``POST /v1/batch`` (bytes).
 MAX_CONTENT_LENGTH = 1 << 20
@@ -470,7 +468,13 @@ def _make_handler(service: QueryService):
                 self._send_error(503, "no mapping snapshot loaded")
             except Exception as exc:  # noqa: BLE001 — a handler crash
                 # must answer the client, not silently drop the socket.
-                _LOG.exception("handler error on %s", path)
+                get_event_log().emit(
+                    "http.handler_error",
+                    severity="error",
+                    path=path,
+                    error=f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc(),
+                )
                 self._send_error(500, f"internal error: {exc}")
 
         def _observe(
@@ -483,7 +487,7 @@ def _make_handler(service: QueryService):
         ) -> None:
             """Access-log event + exemplar offer for a finished request."""
             snapshot = service.store.current_or_none()
-            service.event_log.emit(
+            get_event_log().emit(
                 "http.access",
                 sample=service.access_log_sample,
                 method=method,
@@ -758,7 +762,7 @@ class QueryServer:
             daemon=True,
         )
         self._thread.start()
-        _LOG.info("query server listening on %s", self.url)
+        get_event_log().emit("http.listen", url=self.url)
         return self
 
     def stop(self, timeout: float = 5.0) -> None:

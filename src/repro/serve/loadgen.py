@@ -4,13 +4,11 @@ Real AS-lookup traffic is heavily skewed — a handful of hypergiant and
 tier-1 ASNs absorb most queries — so the generator draws ASNs from a
 Zipf(s) distribution over a shuffled rank order.  Everything is seeded:
 the same ``(seed, universe)`` pair replays the identical request stream,
-which is what lets the throughput benchmark compare runs.
+so two runs can be compared.
 
-Three driving modes:
+Two driving modes:
 
-* :meth:`LoadGenerator.run` — the original single-threaded replay, used
-  by the throughput benchmarks (optionally under per-request tracing).
-* :meth:`LoadGenerator.run_overload` — many worker threads hammering the
+* :meth:`LoadGenerator.run_overload` — worker threads hammering the
   service at once (optionally synchronized into thundering-herd waves)
   to exercise the admission gate.  The report classifies every response
   (``2xx`` / ``429`` / ``4xx`` / ``5xx`` / ``deadline``) and records
@@ -33,7 +31,6 @@ throughput" and "per-worker share" from one run.
 from __future__ import annotations
 
 import bisect
-import heapq
 import http.client
 import random
 import socket
@@ -43,8 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
-from ..logutil import get_logger
-
 from ..errors import (
     ConfigError,
     DeadlineExceededError,
@@ -52,25 +47,9 @@ from ..errors import (
     ReproError,
     UnknownASNError,
 )
-from ..obs.context import (
-    TraceContext,
-    reset_trace_context,
-    set_trace_context,
-)
 from ..obs.registry import percentile
 from ..types import ASN
 from .service import QueryService
-
-_LOG = get_logger("serve.loadgen")
-
-#: Slowest traced requests reported per run (trace ID + latency each).
-SLOWEST_REPORTED = 5
-
-#: Pre-formatted 3-hex-char trace-ID suffixes.  The traced hot loop
-#: builds each trace ID by concatenating cached pieces instead of
-#: formatting an integer per request — concatenation is ~2x cheaper and
-#: the table is a one-time ~200 KB cost at import.
-_TRACE_SUFFIXES = tuple(f"{i:03x}" for i in range(4096))
 
 #: Response classes tracked by :class:`LoadReport`.  ``deadline`` is kept
 #: distinct from ``5xx``: a deadline rejection is the gate working as
@@ -296,14 +275,10 @@ class LoadReport:
     elapsed_seconds: float
     mix: Dict[str, int] = field(default_factory=dict)
     #: Response-class counts (``2xx``/``429``/``4xx``/``5xx``/``deadline``).
-    #: Empty for legacy single-threaded runs that predate classification.
     classes: Dict[str, int] = field(default_factory=dict)
     #: Latency percentiles over *admitted* (2xx/4xx) requests, seconds.
     admitted_p50: float = 0.0
     admitted_p99: float = 0.0
-    #: Slowest traced requests (``{trace_id, op, latency_ms}``), slowest
-    #: first.  Empty unless the run propagated trace contexts.
-    slowest: List[Dict[str, object]] = field(default_factory=list)
     #: Connection-level failures recovered by retry (HTTP target runs).
     conn_errors: int = 0
     #: Per-worker-thread rows (``{worker, requests, ok, qps, classes}``)
@@ -336,8 +311,6 @@ class LoadReport:
             out["classes"] = dict(self.classes)
             out["admitted_p50_ms"] = round(self.admitted_p50 * 1e3, 3)
             out["admitted_p99_ms"] = round(self.admitted_p99 * 1e3, 3)
-        if self.slowest:
-            out["slowest"] = [dict(entry) for entry in self.slowest]
         if self.conn_errors:
             out["conn_errors"] = self.conn_errors
         if self.per_worker:
@@ -356,140 +329,12 @@ class LoadGenerator:
         seed: int = 42,
         zipf_s: float = 1.1,
     ) -> None:
+        if not asns:
+            raise ConfigError("cannot sample from an empty item set")
         self.service = service
         self.asns = list(asns)
         self.seed = seed
         self.zipf_s = zipf_s
-        self.sampler = ZipfianSampler(asns, s=zipf_s, seed=seed)
-        self._rng = random.Random(seed ^ 0x5F5E100)
-
-    def _run_context(self) -> tuple:
-        """(context, trace-id prefix) for a traced run, from the seed.
-
-        Trace IDs are a seeded 96-bit hex prefix plus the request index
-        as an 8-hex-char suffix, so a replayed run names its requests
-        identically — "the slow request" in one run and its twin in the
-        next share a trace ID and can be diffed.  One
-        :class:`TraceContext` is installed for the whole run and
-        re-stamped per request (see its docstring), and only the short
-        suffix is formatted in the hot loop: minting a fresh object,
-        contextvar token and 128-bit hex string per request costs more
-        than the lookups it decorates.
-        """
-        rng = random.Random(self.seed ^ 0x7D0C0FFEE)
-        prefix = f"{rng.getrandbits(96) or 1:024x}"
-        span_id = f"{rng.getrandbits(64) or 1:016x}"
-        return TraceContext("", span_id), prefix
-
-    @staticmethod
-    def _slowest_entries(heap: List[tuple]) -> List[Dict[str, object]]:
-        """Render the slowest-requests heap, dropping sentinel entries."""
-        return [
-            {
-                "trace_id": trace_id,
-                "op": op,
-                "latency_ms": round(latency * 1e3, 3),
-            }
-            for latency, trace_id, op in sorted(heap, reverse=True)
-            if latency >= 0.0
-        ]
-
-    def run(
-        self,
-        requests: int,
-        sibling_fraction: float = 0.0,
-        unknown_fraction: float = 0.0,
-        trace: bool = False,
-    ) -> LoadReport:
-        """Issue *requests* lookups; fractions divert some to other ops.
-
-        ``sibling_fraction`` of requests become pairwise sibling checks;
-        ``unknown_fraction`` query an ASN outside the universe (the 404
-        path), exercising the service's miss accounting.
-
-        With ``trace=True`` every request runs under its own seeded
-        :class:`~repro.obs.context.TraceContext` — events the service
-        emits while handling it carry the request's trace ID — and the
-        report names the trace IDs of the slowest requests, which is how
-        an operator goes from "the p99 moved" to a concrete request.
-
-        Traced latency is measured clock-read to clock-read: each
-        request's figure includes the generator's own inter-request
-        bookkeeping (a few hundred nanoseconds, uniform across requests),
-        which keeps the tracing tax inside the throughput budget without
-        disturbing the slowest-N ranking.
-        """
-        ok = 0
-        not_found = 0
-        mix = {"asn": 0, "siblings": 0, "unknown": 0}
-        service = self.service
-        sample = self.sampler.sample
-        draw = self._rng.random
-        perf_counter = time.perf_counter
-        context: Optional[TraceContext] = None
-        prefix = ""
-        token = None
-        if trace:
-            context, prefix = self._run_context()
-            token = set_trace_context(context)
-        # Min-heap of (latency, trace_id, op), pre-filled with sentinels
-        # so the hot loop is a single compare + (rarely) a pushpop.
-        slowest_heap: List[tuple] = [(-1.0, "", "")] * SLOWEST_REPORTED
-        suffixes = _TRACE_SUFFIXES
-        chunk_prefix = ""
-        started = perf_counter()
-        t_prev = started
-        try:
-            for index in range(requests):
-                r = draw()
-                if trace:
-                    # trace_id == prefix + index as 8 hex chars, built
-                    # from a per-4096-chunk prefix and a suffix table.
-                    low = index & 0xFFF
-                    if not low:
-                        chunk_prefix = prefix + f"{index >> 12:05x}"
-                    context.trace_id = chunk_prefix + suffixes[low]
-                if r < unknown_fraction:
-                    op = "unknown"
-                    mix["unknown"] += 1
-                    try:
-                        service.lookup_asn(-1)
-                        ok += 1
-                    except UnknownASNError:
-                        not_found += 1
-                elif r < unknown_fraction + sibling_fraction:
-                    op = "siblings"
-                    mix["siblings"] += 1
-                    service.siblings(sample(), sample())
-                    ok += 1
-                else:
-                    op = "asn"
-                    mix["asn"] += 1
-                    service.lookup_asn(sample())
-                    ok += 1
-                if trace:
-                    now = perf_counter()
-                    latency = now - t_prev
-                    t_prev = now
-                    if latency > slowest_heap[0][0]:
-                        heapq.heappushpop(
-                            slowest_heap, (latency, context.trace_id, op)
-                        )
-        finally:
-            if token is not None:
-                reset_trace_context(token)
-        elapsed = perf_counter() - started
-        slowest = self._slowest_entries(slowest_heap) if trace else []
-        return LoadReport(
-            requests=requests,
-            ok=ok,
-            not_found=not_found,
-            elapsed_seconds=elapsed,
-            mix=mix,
-            slowest=slowest,
-        )
-
-    # -- overload mode -----------------------------------------------------
 
     def run_overload(
         self,

@@ -37,7 +37,6 @@ from ..errors import (
     UnknownOrgError,
 )
 from ..obs import DEFAULT_LOOKUP_BUCKETS, get_registry
-from ..obs.log import EventLog, get_event_log
 from ..obs.slo import ExemplarStore, SLOTracker
 from ..types import ASN
 from .admission import AdmissionController
@@ -105,7 +104,6 @@ class QueryService:
         injector=None,
         slo: Optional[SLOTracker] = None,
         exemplars: Optional[ExemplarStore] = None,
-        event_log: Optional[EventLog] = None,
         access_log_sample: float = 1.0,
     ) -> None:
         self.registry = registry or get_registry()
@@ -113,7 +111,6 @@ class QueryService:
         self._injector = injector
         self.slo = slo
         self.exemplars = exemplars
-        self._event_log = event_log
         self.access_log_sample = access_log_sample
         self.store = store or SnapshotStore(
             registry=self.registry, injector=injector
@@ -151,11 +148,6 @@ class QueryService:
         )
 
     # -- plumbing ----------------------------------------------------------
-
-    @property
-    def event_log(self) -> EventLog:
-        """The configured event log, defaulting to the process global."""
-        return self._event_log if self._event_log is not None else get_event_log()
 
     def _finish(self, endpoint: str, status: str, started: float) -> None:
         elapsed = time.perf_counter() - started

@@ -41,12 +41,9 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ...errors import ServeError
-from ...logutil import get_logger
-from ...obs import MetricsRegistry
+from ...obs import MetricsRegistry, get_event_log
 from ..store import DEFAULT_HISTORY_LIMIT, SnapshotStore
 from .segment import MappedBlob, SegmentStore, default_shm_root
-
-_LOG = get_logger("serve.shm.pool")
 
 #: Fork start method: workers inherit the compiled blob path and config
 #: by memory.
@@ -135,7 +132,12 @@ def _worker_main(
         time.sleep(config.poll_interval)
         pointer = segments.pointer()
     if pointer is None:
-        _LOG.error("worker %d: no generation pointer, exiting", worker_index)
+        get_event_log().emit(
+            "pool.worker_exit",
+            severity="error",
+            worker=worker_index,
+            reason="no generation pointer",
+        )
         os._exit(3)
     _swap_to(int(pointer["generation"]))
     applied = int(pointer["generation"])
@@ -165,10 +167,13 @@ def _worker_main(
         )
 
     _write_state()
-    _LOG.info(
-        "worker %d (pid %d) serving generation %d on %s:%d (admin %d)",
-        worker_index, os.getpid(), applied, config.host, server.port,
-        admin.port,
+    get_event_log().emit(
+        "pool.worker_ready",
+        worker=worker_index,
+        pid=os.getpid(),
+        generation=applied,
+        port=server.port,
+        admin_port=admin.port,
     )
 
     stopping = threading.Event()
@@ -184,7 +189,12 @@ def _worker_main(
         stopping.wait(config.poll_interval)
         if os.getppid() != supervisor:
             # The supervisor died; exit rather than squat on the port.
-            _LOG.warning("worker %d: supervisor gone, exiting", worker_index)
+            get_event_log().emit(
+                "pool.worker_exit",
+                severity="warning",
+                worker=worker_index,
+                reason="supervisor gone",
+            )
             break
         pointer = segments.pointer()
         if pointer is None:
@@ -352,9 +362,11 @@ class WorkerPool:
         )
         self._monitor.start()
         self._await_generation(1)
-        _LOG.info(
-            "pool of %d workers serving generation 1 on %s",
-            self.config.workers, self.url,
+        get_event_log().emit(
+            "pool.start",
+            workers=self.config.workers,
+            url=self.url,
+            blob_bytes=len(blob),
         )
         return self
 
@@ -370,9 +382,12 @@ class WorkerPool:
                 now = time.monotonic()
                 if now - self._last_respawn[index] < self.config.respawn_backoff:
                     continue
-                _LOG.warning(
-                    "worker %d (pid %s) died with code %s; respawning",
-                    index, proc.pid, proc.exitcode,
+                get_event_log().emit(
+                    "pool.respawn",
+                    severity="warning",
+                    worker=index,
+                    pid=proc.pid,
+                    exitcode=proc.exitcode,
                 )
                 proc.join()
                 self._procs[index] = self._spawn(index)
@@ -435,9 +450,8 @@ class WorkerPool:
             self._await_generation(generation)
             self.segments.unlink_segment(previous)
             self._write_pool_state()
-            _LOG.info(
-                "pool hot-swapped to generation %d (%d bytes)",
-                generation, len(blob),
+            get_event_log().emit(
+                "pool.publish", generation=generation, blob_bytes=len(blob)
             )
             return generation
 

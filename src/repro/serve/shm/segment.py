@@ -29,11 +29,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ...logutil import get_logger
 from ..index import MappingIndex
 from .blob import BLOB_SUFFIX, read_header
-
-_LOG = get_logger("serve.shm.segment")
 
 #: Segment filename pattern (zero-padded so ``sorted()`` is generation
 #: order, mirroring the watch archive's entry naming).
@@ -142,10 +139,6 @@ class SegmentStore:
         """Publish *blob* as generation *generation* (not yet pointed at)."""
         path = self.segment_path(generation)
         self._atomic_write(path, blob)
-        _LOG.info(
-            "segment generation %d written: %s (%d bytes)",
-            generation, path, len(blob),
-        )
         return path
 
     def set_pointer(self, generation: int, **extra: object) -> Dict[str, object]:

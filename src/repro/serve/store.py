@@ -9,17 +9,16 @@ retiring list until every reader lease against them is released
 (:meth:`SnapshotStore.drain`), mirroring how a production serving tier
 drains connections before dropping a shard.
 
-Generations can come from five sources: an in-memory pipeline result, an
+Generations can come from four sources: an in-memory pipeline result, an
 ``OrgMapping`` JSON file, a CAIDA-format release file (the round-trip
-``borges release`` → ``borges serve``), a merge-stage artifact in the
-content-addressed :class:`~repro.core.artifacts.ArtifactStore`, or a
-compiled blob file.  Every one of them, and every archive time-travel
-generation, ends in the same :class:`MappingIndex` over one blob.
+``borges release`` → ``borges serve``), or a compiled blob file.  Every
+one of them, and every archive time-travel generation, ends in the same
+:class:`MappingIndex` over one blob.
 
 **Integrity before swap.**  Every source is verified before it can
 become the active generation: release files check the digest header
 ``borges release`` writes, mapping files check their embedded digest and
-schema, artifacts recompute their content digest, and in-memory mappings
+schema, blobs verify their payload digest on map, and in-memory mappings
 pass basic sanity checks.  A failed check raises a structured
 :class:`~repro.errors.SnapshotIntegrityError`; corrupt *files* are
 additionally quarantined (renamed aside) so a crash-looping supervisor
@@ -39,9 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from ..core.artifacts import ArtifactStore
 from ..core.mapping import OrgMapping, verify_mapping_payload
-from ..digest import stable_digest
 from ..errors import (
     DataError,
     NoSnapshotError,
@@ -49,12 +46,9 @@ from ..errors import (
     RollbackUnavailableError,
     SnapshotIntegrityError,
 )
-from ..logutil import get_logger
 from ..obs import get_registry
 from ..obs.log import get_event_log
 from .index import MappingIndex
-
-_LOG = get_logger("serve.store")
 
 #: Suffix appended to a corrupt input file when it is quarantined.
 QUARANTINE_SUFFIX = ".quarantined"
@@ -177,13 +171,20 @@ class SnapshotStore:
         archive_generation: int = 0,
     ) -> Snapshot:
         """Install *index* as the active generation; returns the snapshot."""
-        return self._install(
+        snapshot = self._install(
             index,
             source,
             label,
             remember_previous=True,
             archive_generation=archive_generation,
         )
+        get_event_log().emit(
+            "snapshot.swap",
+            generation=snapshot.generation,
+            source=source,
+            label=label,
+        )
+        return snapshot
 
     def _install(
         self,
@@ -223,16 +224,6 @@ class SnapshotStore:
             "serve_snapshot_history_depth",
             "Last-known-good generations available for rollback",
         ).set(len(self._history))
-        _LOG.info(
-            "snapshot generation %d installed from %s (%s)",
-            snapshot.generation, source, label,
-        )
-        get_event_log().emit(
-            "snapshot.swap",
-            generation=snapshot.generation,
-            source=source,
-            label=label,
-        )
         return snapshot
 
     def rollback(self) -> Snapshot:
@@ -264,10 +255,6 @@ class SnapshotStore:
             "serve_snapshot_rollbacks_total",
             "Generations restored from last-known-good history",
         ).inc()
-        _LOG.warning(
-            "rolled back to generation %d content (now generation %d)",
-            restored.generation, snapshot.generation,
-        )
         get_event_log().emit(
             "snapshot.rollback",
             severity="warning",
@@ -282,9 +269,11 @@ class SnapshotStore:
         """Attempt a swap; on failure keep serving the old generation.
 
         This is the resilience boundary of the read path: a corrupt
-        release file or unreadable artifact must not take down a serving
+        release file or unreadable blob must not take down a serving
         process that already holds a good generation.  The failure is
         counted, the store is marked ``stale``, and ``None`` is returned.
+        A rejected input already reported its ``snapshot.integrity_failure``
+        event; any other failure is reported as ``snapshot.swap_failed``.
         """
         try:
             return loader()
@@ -297,14 +286,14 @@ class SnapshotStore:
                 "serve_snapshot_swap_failures_total",
                 "Snapshot loads that failed (old generation kept)",
             ).inc()
-            _LOG.warning("snapshot swap failed (%s): %s", label, exc)
-            get_event_log().emit(
-                "snapshot.swap_failed",
-                severity="warning",
-                label=label,
-                error=f"{type(exc).__name__}: {exc}",
-                stale=self.stale,
-            )
+            if not isinstance(exc, SnapshotIntegrityError):
+                get_event_log().emit(
+                    "snapshot.swap_failed",
+                    severity="warning",
+                    label=label,
+                    error=f"{type(exc).__name__}: {exc}",
+                    stale=self.stale,
+                )
             return None
 
     def drain(self, timeout: float = 5.0) -> int:
@@ -343,6 +332,7 @@ class SnapshotStore:
     ) -> SnapshotIntegrityError:
         """Count, quarantine (file sources) and build the structured error."""
         quarantined_to = ""
+        quarantine_error = ""
         if path is not None and self._quarantine and path.exists():
             candidate = path.with_name(path.name + QUARANTINE_SUFFIX)
             try:
@@ -353,7 +343,7 @@ class SnapshotStore:
                     "Corrupt snapshot files renamed aside",
                 ).inc()
             except OSError as exc:  # quarantine is best-effort
-                _LOG.warning("cannot quarantine %s: %s", path, exc)
+                quarantine_error = str(exc)
         self._registry.counter(
             "serve_snapshot_integrity_failures_total",
             "Snapshot inputs rejected before swap",
@@ -367,7 +357,6 @@ class SnapshotStore:
             actual_digest=actual_digest,
             quarantined_to=quarantined_to,
         )
-        _LOG.error("%s", error)
         get_event_log().emit(
             "snapshot.integrity_failure",
             severity="error",
@@ -375,6 +364,7 @@ class SnapshotStore:
             reason=reason,
             path=str(path) if path is not None else "",
             quarantined_to=quarantined_to,
+            quarantine_error=quarantine_error,
         )
         return error
 
@@ -517,35 +507,6 @@ class SnapshotStore:
         """
         with self._lock:
             self._next_generation = max(self._next_generation, minimum)
-
-    def load_from_artifact_store(
-        self, store: ArtifactStore, fingerprint: str
-    ) -> Snapshot:
-        """Load a merge-stage artifact (an encoded ``OrgMapping``)."""
-        artifact = store.get("merge", fingerprint)
-        if artifact is None:
-            raise DataError(f"no merge artifact with fingerprint {fingerprint}")
-        actual = stable_digest(artifact.payload)
-        if actual != artifact.content_digest:
-            raise self._integrity_failure(
-                "artifact",
-                f"artifact payload digest mismatch for merge:{fingerprint[:12]}",
-                expected_digest=artifact.content_digest,
-                actual_digest=actual,
-            )
-        try:
-            verify_mapping_payload(
-                artifact.payload, origin=f"merge:{fingerprint[:12]}"
-            )
-        except SnapshotIntegrityError as exc:
-            raise self._integrity_failure(
-                "artifact", exc.reason
-            ) from exc
-        mapping = OrgMapping.from_json(artifact.payload)  # type: ignore[arg-type]
-        index = MappingIndex.build(mapping)
-        return self.swap(
-            index, source="artifact", label=f"merge:{fingerprint[:12]}"
-        )
 
     # -- time-travel -------------------------------------------------------
 

@@ -44,7 +44,7 @@ from ..apnic import ApnicDataset, PopulationRecord
 from ..asrank import ASRank, ASTopology, compute_rank
 from ..config import UniverseConfig
 from ..errors import DataError
-from ..logutil import get_logger
+from ..obs.log import get_event_log
 from ..peeringdb import Network, Organization, PDBSnapshot
 from ..types import ASN
 from ..web.simweb import (
@@ -61,8 +61,6 @@ from .events import EventKind, MnAEvent, Timeline
 from .names import PLATFORM_HOSTS, OrgNamer
 from .notes_synth import NotesSynthesizer
 from .web_synth import plant_org_redirects, plant_org_sites
-
-_LOG = get_logger("universe.stream")
 
 #: Synthetic ASNs are allocated upward from here; canonical scenario ASNs
 #: all sit below (see :mod:`repro.universe.canonical`).
@@ -1096,9 +1094,12 @@ def assemble_universe(
         topology=topology,
         annotations=annotations,
     )
-    _LOG.info(
-        "universe assembled: %d orgs, %d ASNs, %d PDB nets, %d sites",
-        len(ground_truth), len(whois), len(pdb), len(web),
+    get_event_log().emit(
+        "universe.assembled",
+        orgs=len(ground_truth),
+        asns=len(whois),
+        pdb_nets=len(pdb),
+        sites=len(web),
     )
     return universe
 

@@ -7,8 +7,7 @@ ones.
 
 The planting helpers operate on a plain ``host → Site`` dict so the
 streaming generator (:mod:`repro.universe.stream`) can plant one org's
-sites at a time with a per-org RNG substream; :func:`build_web` keeps
-the collect-everything entry point over a shared stream.
+sites at a time with a per-org RNG substream.
 """
 
 from __future__ import annotations
@@ -17,13 +16,9 @@ import random
 from typing import Dict, Optional
 
 from ..config import UniverseConfig
-from ..logutil import get_logger
 from ..web.http import RedirectKind
-from ..web.simweb import SimulatedWeb, Site, make_favicon
-from .entities import Brand, GroundTruth, Org, OrgCategory
-from .events import Timeline
-
-_LOG = get_logger("universe.web_synth")
+from ..web.simweb import Site, make_favicon
+from .entities import Brand, Org, OrgCategory
 
 _REDIRECT_KINDS = (
     RedirectKind.HTTP_301,
@@ -31,30 +26,6 @@ _REDIRECT_KINDS = (
     RedirectKind.META_REFRESH,
     RedirectKind.JAVASCRIPT,
 )
-
-
-def build_web(
-    ground_truth: GroundTruth,
-    timeline: Timeline,
-    config: UniverseConfig,
-    seed: int,
-) -> SimulatedWeb:
-    """Instantiate the whole simulated web for one universe."""
-    rng = random.Random(("web", seed).__repr__())
-    sites: Dict[str, Site] = {}
-    for org in ground_truth.all_orgs():
-        plant_org_sites(sites, org, rng, config)
-    for org in ground_truth.all_orgs():
-        plant_org_redirects(sites, org, rng, config)
-    web = SimulatedWeb()
-    for site in sites.values():
-        web.add_site(site)
-    _LOG.debug("web built: %s", web.stats())
-    # Acquisition order is already encoded in Brand.acquired + flagship
-    # choice; multi-hop chains (Clearwire → Sprint → T-Mobile) compose
-    # naturally from per-brand redirects.
-    _ = timeline
-    return web
 
 
 def plant_org_sites(

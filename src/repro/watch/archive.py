@@ -53,11 +53,8 @@ from ..errors import (
     SnapshotIntegrityError,
     UnknownGenerationError,
 )
-from ..logutil import get_logger
 from ..obs import get_registry
 from ..obs.log import get_event_log
-
-_LOG = get_logger("watch.archive")
 
 #: Archive entry filename pattern; the zero-padding keeps ``sorted()``
 #: equal to generation order up to 999999 generations.
@@ -213,8 +210,8 @@ class SnapshotArchive:
             label=label,
             dataset_digest=dataset_digest,
             bytes=path.stat().st_size,
+            blob_bytes=len(index.blob),
         )
-        _LOG.info("archived generation %d (%s)", generation, label)
         return {k: v for k, v in entry.items() if k != "mapping"}
 
     # -- compiled-blob sidecars --------------------------------------------
@@ -239,10 +236,6 @@ class SnapshotArchive:
             "watch_archive_blob_publishes_total",
             "Compiled-blob sidecars written to the archive",
         ).inc()
-        _LOG.info(
-            "archived blob sidecar for generation %d (%d bytes)",
-            generation, len(blob),
-        )
 
     def read_blob(self, generation: int) -> bytes:
         """One generation's verified compiled blob.
@@ -279,11 +272,12 @@ class SnapshotArchive:
     def _quarantine(self, path: Path, reason: str) -> str:
         target = path.with_name(path.name + QUARANTINE_SUFFIX)
         quarantined_to = ""
+        quarantine_error = ""
         try:
             path.replace(target)
             quarantined_to = str(target)
         except OSError as exc:  # best-effort, like the serve store
-            _LOG.warning("cannot quarantine %s: %s", path, exc)
+            quarantine_error = str(exc)
         self._registry.counter(
             "watch_archive_corrupt_total",
             "Archive entries that failed digest verification",
@@ -294,6 +288,7 @@ class SnapshotArchive:
             path=str(path),
             reason=reason,
             quarantined_to=quarantined_to,
+            quarantine_error=quarantine_error,
         )
         return quarantined_to
 
@@ -370,28 +365,31 @@ class SnapshotArchive:
                 oldest = generations.pop(0)
                 total -= self._entry_path(oldest).stat().st_size
                 removed.append(oldest)
-        for generation in removed:
+        errors: List[str] = []
+
+        def unlink(path: Path) -> None:
             try:
-                self._entry_path(generation).unlink()
+                path.unlink()
             except OSError as exc:
-                _LOG.warning(
-                    "cannot prune archive generation %d: %s", generation, exc
-                )
+                errors.append(f"{path.name}: {exc}")
+
+        for generation in removed:
+            unlink(self._entry_path(generation))
         for path in self.root.glob("gen-*.blob"):
             if not path.with_suffix(".json").exists():
-                try:
-                    path.unlink()
-                except OSError as exc:
-                    _LOG.warning("cannot prune %s: %s", path, exc)
+                unlink(path)
         if removed:
             self._registry.counter(
                 "watch_archive_pruned_total",
                 "Archive generations removed by retention",
             ).inc(len(removed))
+        if removed or errors:
             get_event_log().emit(
                 "watch.archive_prune",
+                severity="warning" if errors else "info",
                 removed=removed,
                 aggressive=aggressive,
+                errors=errors,
             )
         return removed
 

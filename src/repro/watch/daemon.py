@@ -44,7 +44,6 @@ from typing import Callable, Deque, Dict, Optional
 
 from ..core.mapping import OrgMapping
 from ..errors import ReproError, SnapshotIntegrityError
-from ..logutil import get_logger
 from ..obs import get_registry
 from ..obs.log import get_event_log
 from ..resilience.policy import RetryPolicy
@@ -54,8 +53,6 @@ from .archive import SnapshotArchive
 from .gate import GateThresholds, PublishGate
 from .journal import QUARANTINE_CRASHES, RunJournal
 
-_LOG = get_logger("watch.daemon")
-
 #: Cycle outcomes tracked in ``watch_cycles_total``.
 OUTCOMES = (
     "published",
@@ -64,6 +61,9 @@ OUTCOMES = (
     "gate_blocked",
     "failed",
 )
+
+#: Outcomes whose ``watch.cycle`` event is a warning (stderr by default).
+_WARNING_OUTCOMES = frozenset(("gate_blocked", "failed"))
 
 
 class SimulatedProcessKill(BaseException):
@@ -192,7 +192,13 @@ class WatchDaemon:
             self.last_outcome = outcome
             self.last_cycle_at = time.time()
         self._outcome_counters[outcome].inc()
-        self._emit("watch.cycle", outcome=outcome, cycle=self.cycles, **fields)
+        self._emit(
+            "watch.cycle",
+            severity="warning" if outcome in _WARNING_OUTCOMES else "info",
+            outcome=outcome,
+            cycle=self.cycles,
+            **fields,
+        )
         return outcome
 
     def _record_failure(self, error: str) -> None:
@@ -209,11 +215,6 @@ class WatchDaemon:
         self._failures_gauge.set(self.consecutive_failures)
         if self.halted:
             self._halted_gauge.set(1)
-            _LOG.error(
-                "watch loop halted: %d failures within %.0fs (serving "
-                "continues on the last good generation)",
-                len(self._failure_times), self.config.restart_window,
-            )
             self._emit(
                 "watch.halted",
                 severity="error",
@@ -269,8 +270,11 @@ class WatchDaemon:
             self.archive.read(published_gen)
             index = MappingIndex(self.archive.read_blob(published_gen))
         except (ReproError, OSError) as exc:
-            _LOG.warning(
-                "cannot resume archived generation %d: %s", published_gen, exc
+            self._emit(
+                "watch.resume_failed",
+                severity="warning",
+                archive_generation=published_gen,
+                error=f"{type(exc).__name__}: {exc}",
             )
             self.journal.append(
                 "fail",
@@ -343,7 +347,6 @@ class WatchDaemon:
             error = f"{type(exc).__name__}: {exc}"
             self.journal.append("fail", dataset_digest=probed, error=error)
             self._record_failure(error)
-            _LOG.warning("watch cycle %d failed: %s", self.cycles, error)
             return self._record_outcome("failed", error=error)
         if result.shard_posture is not None:
             with self._lock:
@@ -389,18 +392,10 @@ class WatchDaemon:
                 "watch_gate_blocked_total",
                 "Candidate generations refused by the publish gate",
             ).inc()
-            self._emit(
-                "watch.gate_blocked",
-                severity="warning",
+            return self._record_outcome(
+                "gate_blocked",
                 dataset_digest=digest,
                 reasons=list(decision.reasons),
-            )
-            _LOG.warning(
-                "publish gate blocked cycle %d: %s",
-                self.cycles, "; ".join(decision.reasons),
-            )
-            return self._record_outcome(
-                "gate_blocked", reasons=list(decision.reasons)
             )
         try:
             entry = self.archive.publish(
@@ -445,16 +440,13 @@ class WatchDaemon:
             store_generation=snapshot.generation,
         )
         self._record_success()
-        self._emit(
-            "watch.publish",
+        return self._record_outcome(
+            "published",
             dataset_digest=digest,
             archive_generation=archive_generation,
             store_generation=snapshot.generation,
             orgs=len(candidate),
             asns=candidate.asn_count,
-        )
-        return self._record_outcome(
-            "published", archive_generation=archive_generation
         )
 
     # -- the loop ----------------------------------------------------------

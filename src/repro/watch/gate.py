@@ -21,8 +21,9 @@ thresholds:
 
 The first generation (no active snapshot) always passes — there is
 nothing to regress from.  A blocked candidate is an *event*, not an
-error: the daemon journals it, emits ``watch.gate_blocked``, bumps the
-metric, and keeps serving the old generation.
+error: the daemon journals it, reports it as the cycle's ``watch.cycle``
+event (``outcome=gate_blocked``, at warning), bumps the metric, and keeps
+serving the old generation.
 """
 
 from __future__ import annotations

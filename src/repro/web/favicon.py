@@ -11,13 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..logutil import get_logger
 from ..obs.registry import MetricsRegistry, get_registry
 from ..types import FaviconHash, URL
 from .simweb import SimulatedWeb, favicon_hash
 from .url import host_of
-
-_LOG = get_logger("web.favicon")
 
 
 @dataclass(frozen=True)

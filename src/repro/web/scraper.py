@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import ResilienceConfig, ScraperConfig
 from ..errors import CircuitOpenError, FetchError, URLError
-from ..logutil import get_logger
 from ..obs.registry import (
     DEFAULT_COUNT_BUCKETS,
     MetricsRegistry,
@@ -32,8 +31,6 @@ from ..resilience.policy import RetryPolicy
 from .http import HTTPResponse
 from .simweb import SimulatedWeb
 from .url import normalize_url, parse_url
-
-_LOG = get_logger("web.scraper")
 
 
 @dataclass(frozen=True)
@@ -258,10 +255,6 @@ class HeadlessScraper:
             metrics.histogram(
                 "web_backoff_seconds", "backoff slept before a fetch retry"
             ).observe(delay)
-            _LOG.debug(
-                "fetch %s failed (attempt %d/%d, retrying in %.3fs): %s",
-                url, attempt_no, self._retry.attempts, delay, exc,
-            )
 
         return self._retry.execute(attempt, key=host, on_retry=on_retry)
 

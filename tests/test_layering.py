@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Rank of each top-level package / module under ``repro``.
 LAYERS = (
-    ("errors", "types", "logutil", "digest"),
+    ("errors", "types", "digest"),
     ("obs",),
     ("resilience",),
     ("config", "runtime"),

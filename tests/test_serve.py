@@ -25,9 +25,8 @@ from repro.errors import (
     UnknownASNError,
     UnknownOrgError,
 )
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_event_log, use_registry
 from repro.serve import (
-    LoadGenerator,
     MappingIndex,
     QueryServer,
     QueryService,
@@ -199,18 +198,6 @@ class TestSnapshotStore:
             borges_mapping.cluster_of(asn)
         )
 
-    def test_artifact_store_source(self, borges_mapping, registry):
-        from repro.core.artifacts import ArtifactStore, make_artifact
-
-        artifacts = ArtifactStore()
-        artifact = make_artifact(
-            "merge", "f" * 64, borges_mapping.to_json()
-        )
-        artifacts.put(artifact)
-        store = SnapshotStore(registry=registry)
-        snapshot = store.load_from_artifact_store(artifacts, "f" * 64)
-        assert snapshot.index.asn_count == borges_mapping.universe_size
-
 
 # -- QueryService ----------------------------------------------------------
 
@@ -337,18 +324,6 @@ class TestLoadGen:
         top = max(set(a), key=a.count)
         assert a.count(top) > 500 / 100  # far above uniform share
 
-    def test_load_report(self, borges_mapping, registry):
-        service = make_service(borges_mapping, registry)
-        gen = LoadGenerator(
-            service, service.store.current().index.asns(), seed=3
-        )
-        report = gen.run(200, sibling_fraction=0.1, unknown_fraction=0.05)
-        assert report.requests == 200
-        assert report.ok + report.not_found == 200
-        assert report.not_found == report.mix["unknown"]
-        assert report.qps > 0
-        assert sum(report.mix.values()) == 200
-
 
 # -- HTTP API --------------------------------------------------------------
 
@@ -471,8 +446,13 @@ def _get_traced(url: str, traceparent: str = ""):
 
 class TestObservabilityHTTP:
     @pytest.fixture()
-    def server(self, borges_mapping, registry):
-        from repro.obs import EventLog, ExemplarStore, SLOTracker
+    def events(self):
+        with use_event_log() as log:
+            yield log
+
+    @pytest.fixture()
+    def server(self, borges_mapping, registry, events):
+        from repro.obs import ExemplarStore, SLOTracker
 
         slo = SLOTracker(registry=registry)
         service = QueryService(
@@ -480,7 +460,6 @@ class TestObservabilityHTTP:
             slo=slo,
             # threshold 0: every request becomes an exemplar
             exemplars=ExemplarStore(threshold=0.0, capacity=16),
-            event_log=EventLog(),
         )
         service.store.load_from_mapping(borges_mapping)
         with QueryServer(service) as srv:
@@ -504,7 +483,7 @@ class TestObservabilityHTTP:
         assert minted != "0" * 32
         assert minted == minted.lower()
 
-    def test_access_log_carries_the_trace_id(self, server):
+    def test_access_log_carries_the_trace_id(self, server, events):
         asn = server.service.store.current().index.asns()[0]
         trace_id = "aaaabbbbccccddddeeeeffff00001111"
         _get_traced(
@@ -516,8 +495,11 @@ class TestObservabilityHTTP:
         mine: list = []
         deadline = time.monotonic() + 5.0
         while not mine and time.monotonic() < deadline:
-            events = server.service.event_log.events("http.access")
-            mine = [e for e in events if e.get("trace_id") == trace_id]
+            mine = [
+                e
+                for e in events.events("http.access")
+                if e.get("trace_id") == trace_id
+            ]
             if not mine:
                 time.sleep(0.01)
         assert len(mine) == 1
@@ -599,30 +581,6 @@ class TestObservabilityHTTP:
         assert "borges top" in rendered
         assert "availability" in rendered
         assert "rss" in rendered or "process" in rendered
-
-    def test_traced_loadgen_reports_slowest(self, borges_mapping, registry):
-        service = make_service(borges_mapping, registry)
-        gen = LoadGenerator(
-            service, service.store.current().index.asns(), seed=3
-        )
-        report = gen.run(100, trace=True)
-        assert report.slowest, "traced runs must report slowest traces"
-        assert len(report.slowest) <= 5
-        latencies = [entry["latency_ms"] for entry in report.slowest]
-        assert latencies == sorted(latencies, reverse=True)
-        for entry in report.slowest:
-            assert len(entry["trace_id"]) == 32
-            assert entry["op"]
-        assert "slowest" in report.to_json()
-
-    def test_untraced_loadgen_has_no_slowest(self, borges_mapping, registry):
-        service = make_service(borges_mapping, registry)
-        gen = LoadGenerator(
-            service, service.store.current().index.asns(), seed=3
-        )
-        report = gen.run(50)
-        assert report.slowest == []
-        assert "slowest" not in report.to_json()
 
 
 # -- CLI surface -----------------------------------------------------------

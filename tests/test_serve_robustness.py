@@ -27,10 +27,8 @@ import time
 
 import pytest
 
-from repro.core.artifacts import Artifact, ArtifactStore, make_artifact
 from repro.core.mapping import OrgMapping
 from repro.core.release import save_mapping_as2org
-from repro.digest import stable_digest
 from repro.errors import (
     ConfigError,
     DeadlineExceededError,
@@ -367,34 +365,6 @@ class TestReleaseFileIntegrity:
             loaded_store.load_from_release_file(path)
 
 
-class TestArtifactIntegrity:
-    def test_corrupt_merge_artifact_rejected(
-        self, loaded_store, borges_mapping, tmp_path
-    ):
-        artifacts = ArtifactStore(root=tmp_path / "cache")
-        payload = borges_mapping.to_json()
-        good = make_artifact("merge", "f" * 40, payload)
-        tampered = Artifact(
-            stage=good.stage,
-            fingerprint=good.fingerprint,
-            payload={**payload, "universe": payload["universe"][:-1]},
-            content_digest=good.content_digest,  # stale digest
-        )
-        artifacts.put(tampered)
-        with pytest.raises(SnapshotIntegrityError) as excinfo:
-            loaded_store.load_from_artifact_store(artifacts, good.fingerprint)
-        assert excinfo.value.source == "artifact"
-        assert loaded_store.current().generation == 1
-
-    def test_intact_merge_artifact_loads(
-        self, loaded_store, borges_mapping, tmp_path
-    ):
-        artifacts = ArtifactStore(root=tmp_path / "cache")
-        artifacts.put(make_artifact("merge", "a" * 40, borges_mapping.to_json()))
-        snapshot = loaded_store.load_from_artifact_store(artifacts, "a" * 40)
-        assert snapshot.generation == 2
-
-
 class TestEmptyMappingRejected:
     def test_empty_mapping_never_swaps_in(self, store):
         empty = OrgMapping(universe=[], clusters=[], method="test")
@@ -564,17 +534,6 @@ class TestOverloadLoadgen:
         assert sum(report.classes.values()) == report.requests
         assert report.admitted_p99 >= report.admitted_p50 > 0.0
         assert report.to_json()["classes"] == report.classes
-
-    def test_legacy_report_json_has_no_classes(
-        self, registry, borges_mapping, universe
-    ):
-        service = QueryService(registry=registry)
-        service.store.load_from_mapping(borges_mapping, whois=universe.whois)
-        generator = LoadGenerator(
-            service, service.store.current().index.asns(), seed=3
-        )
-        report = generator.run(50)
-        assert "classes" not in report.to_json()
 
 
 # -- HTTP hardening --------------------------------------------------------

@@ -67,14 +67,27 @@ class TestContextCache:
         first = get_context(config)
         second = get_context(config)
         assert first is second
-        _CONTEXT_CACHE.pop((991, 60), None)
+        _CONTEXT_CACHE.pop(config, None)
 
     def test_different_seed_builds_fresh(self):
-        a = get_context(UniverseConfig(seed=992, n_organizations=60))
-        b = get_context(UniverseConfig(seed=993, n_organizations=60))
+        configs = [
+            UniverseConfig(seed=992, n_organizations=60),
+            UniverseConfig(seed=993, n_organizations=60),
+        ]
+        a, b = (get_context(config) for config in configs)
         assert a is not b
-        _CONTEXT_CACHE.pop((992, 60), None)
-        _CONTEXT_CACHE.pop((993, 60), None)
+        for config in configs:
+            _CONTEXT_CACHE.pop(config, None)
+
+    def test_any_config_field_builds_fresh(self):
+        """Same seed and size, different notes rate: a different world."""
+        plain = UniverseConfig(seed=992, n_organizations=60)
+        noted = UniverseConfig(seed=992, n_organizations=60, notes_rate=0.95)
+        a, b = get_context(plain), get_context(noted)
+        assert a is not b
+        assert b.universe.config.notes_rate == 0.95
+        for config in (plain, noted):
+            _CONTEXT_CACHE.pop(config, None)
 
 
 class TestCanonicalPlanDetails:
