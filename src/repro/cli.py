@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "state directory for --workers mode (segments, generation "
-            "pointer, per-worker state; default: under /dev/shm)"
+            "state directory for --workers mode (the shared snapshot "
+            "segment and per-worker state; default: under /dev/shm)"
         ),
     )
     serve.add_argument(
@@ -1282,8 +1282,9 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
     """``borges serve --workers N``: the multi-process tier.
 
     The snapshot is loaded once (any kind ``--snapshot`` accepts, or a
-    fresh pipeline run) and its index blob is published as-is: N forked
-    workers map it read-only behind ``SO_REUSEPORT``.
+    fresh pipeline run) and its index blob is written once as-is: N
+    forked workers map it read-only behind ``SO_REUSEPORT`` and serve it
+    until the pool stops.
     """
     from .serve.shm.pool import WorkerConfig, WorkerPool
 
@@ -1293,7 +1294,6 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        history_limit=args.history,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         deadline=args.deadline_ms / 1000.0,

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError
+from .process import peak_rss_bytes
 from .registry import MetricsRegistry, get_registry
 
 #: Default burn-rate threshold: a 30-day error budget consumed in ~2 days.
@@ -414,7 +415,10 @@ class ExemplarStore:
 
 
 def _process_rss_bytes() -> int:
-    """Resident set size, best-effort across platforms (0 if unknown)."""
+    """Resident set size, best-effort across platforms (0 if unknown).
+
+    Without ``/proc`` this falls back to the process's peak RSS.
+    """
     try:
         with open("/proc/self/status", "r", encoding="ascii") as fh:
             for line in fh:
@@ -422,14 +426,7 @@ def _process_rss_bytes() -> int:
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
-    try:
-        import resource
-
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # Linux reports KiB, macOS bytes; normalise the obvious case.
-        return rss * 1024 if rss < 1 << 32 else rss
-    except (ImportError, ValueError, OSError):
-        return 0
+    return peak_rss_bytes()
 
 
 class RuntimeSampler:

@@ -12,8 +12,7 @@ them, the way downstream tools consume CAIDA's AS2Org:
   body, and the publish gate's churn input);
 * :mod:`repro.serve.store` — :class:`SnapshotStore`: loads generations
   (pipeline results, mapping JSON, CAIDA-format release files, merge
-  artifacts, compiled blob files) and hot-swaps them atomically,
-  draining retired readers;
+  artifacts, compiled blob files) and hot-swaps them atomically;
 * :mod:`repro.serve.service` — :class:`QueryService`: batched lookups,
   an LRU response cache, and per-endpoint sub-millisecond latency
   histograms in the shared metrics registry;
@@ -30,7 +29,7 @@ them, the way downstream tools consume CAIDA's AS2Org:
 * :mod:`repro.serve.top` — the ``borges top`` terminal dashboard,
   polling ``/metrics`` + ``/v1/admin/slo`` into a live view;
 * :mod:`repro.serve.shm` — the multi-worker tier: the blob format,
-  shared-memory segments, and the
+  blob files mapped from shared memory, and the
   :class:`~repro.serve.shm.pool.WorkerPool` supervisor forking N query
   servers that each map the same index blob read-only (``borges serve
   --workers N``).
@@ -61,7 +60,7 @@ from .store import Snapshot, SnapshotStore
 from .httpd import MAX_BATCH_ASNS, MAX_CONTENT_LENGTH, QueryServer
 from .top import PoolTopView, TopView, run_top
 from .shm.pool import WorkerConfig, WorkerPool
-from .shm.segment import SegmentStore, map_blob_file
+from .shm.segment import map_blob_file
 
 __all__ = [
     "AdmissionController",
@@ -89,7 +88,6 @@ __all__ = [
     "MAX_CONTENT_LENGTH",
     "QueryServer",
     "HttpConnectionPool",
-    "SegmentStore",
     "WorkerConfig",
     "WorkerPool",
     "map_blob_file",

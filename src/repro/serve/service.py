@@ -237,34 +237,34 @@ class QueryService:
     def batch_lookup(self, asns: Iterable[ASN]) -> List[dict]:
         """Resolve many ASNs against one pinned generation.
 
-        Unknown ASNs yield ``{"asn": n, "error": "unknown_asn"}`` entries
-        instead of failing the whole batch.
+        The batch holds the snapshot it started with, so a swap landing
+        mid-batch changes no entry.  Unknown ASNs yield ``{"asn": n,
+        "error": "unknown_asn"}`` entries instead of failing the whole
+        batch.
         """
         started = time.perf_counter()
         with self._admit("batch"):
             try:
-                with self.store.acquire() as snapshot:
-                    out: List[dict] = []
-                    for asn in asns:
-                        key = (snapshot.generation, "asn", asn)
-                        cached = self._cache.get(key)
-                        if cached is not None:
-                            self._cache_hits.inc()
-                            out.append(cached)
-                            continue
-                        try:
-                            record = snapshot.index.lookup_asn(asn)
-                        except UnknownASNError:
-                            out.append({"asn": asn, "error": "unknown_asn"})
-                            continue
-                        response = self._annotate(
-                            record.to_json(), snapshot.generation
-                        )
-                        self._cache.put(key, response)
-                        out.append(response)
+                snapshot = self.store.current()
             except NoSnapshotError:
                 self._finish("batch", "unavailable", started)
                 raise
+            out: List[dict] = []
+            for asn in asns:
+                key = (snapshot.generation, "asn", asn)
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._cache_hits.inc()
+                    out.append(cached)
+                    continue
+                try:
+                    record = snapshot.index.lookup_asn(asn)
+                except UnknownASNError:
+                    out.append({"asn": asn, "error": "unknown_asn"})
+                    continue
+                response = self._annotate(record.to_json(), snapshot.generation)
+                self._cache.put(key, response)
+                out.append(response)
             self._batch_sizes.observe(float(len(out)))
             self._finish("batch", "ok", started)
             return out

@@ -9,21 +9,20 @@ blob, so a worker serves a generation by mapping that blob read-only:
   slot table, org→members spans, a sorted token table with search
   postings and a deduplicated string arena behind a digest-stamped
   header (assembly, :func:`verify_blob`, :func:`read_header`);
-* :mod:`repro.serve.shm.segment` — blob segments as files under
-  ``/dev/shm`` with an atomically-renamed generation pointer, so N
-  processes map one physical copy read-only;
-* :mod:`repro.serve.shm.pool` — :class:`WorkerPool`: forks N
-  :class:`~repro.serve.httpd.QueryServer` workers behind
-  ``SO_REUSEPORT``, hot-swaps generations through the pointer fence
-  (publish → fence → workers remap+ack → old segment unlinked), and
-  respawns crashed workers onto the current generation.
+* :mod:`repro.serve.shm.segment` — blob files mapped read-only
+  (:func:`map_blob_file`), written under ``/dev/shm`` by the pool so N
+  processes map one physical copy;
+* :mod:`repro.serve.shm.pool` — :class:`WorkerPool`: writes one blob as
+  a segment, forks N :class:`~repro.serve.httpd.QueryServer` workers
+  behind ``SO_REUSEPORT`` that serve it until the pool stops, and
+  respawns crashed workers onto the same segment.
 
 ``borges serve --workers N`` is the CLI entry point; ``borges top
 --pool DIR`` watches a running pool per-worker.
 
 The package namespace exports only the blob format, because
-:mod:`repro.serve.index` is built on it; import the segment store and
-the pool from their modules (or from :mod:`repro.serve`).
+:mod:`repro.serve.index` is built on it; import the segment helpers
+and the pool from their modules (or from :mod:`repro.serve`).
 """
 
 from .blob import (

@@ -4,10 +4,10 @@ The store holds at most one *active* :class:`Snapshot` — an immutable
 :class:`~repro.serve.index.MappingIndex` plus its generation number and
 provenance.  Swapping installs a fully-built replacement with a single
 reference assignment, so a reader either sees the old generation or the
-new one, never a half-loaded index.  Replaced generations are parked on a
-retiring list until every reader lease against them is released
-(:meth:`SnapshotStore.drain`), mirroring how a production serving tier
-drains connections before dropping a shard.
+new one, never a half-loaded index.  A reader that needs one generation
+across several lookups pins it by holding the :class:`Snapshot`
+:meth:`~SnapshotStore.current` returned; a replaced generation is freed
+by the garbage collector once no reader holds it.
 
 Generations can come from four sources: an in-memory pipeline result, an
 ``OrgMapping`` JSON file, a CAIDA-format release file (the round-trip
@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
@@ -63,7 +62,7 @@ DEFAULT_ARCHIVE_CACHE = 4
 
 @dataclass
 class Snapshot:
-    """One loaded generation of the mapping, with reader accounting."""
+    """One loaded generation of the mapping."""
 
     index: MappingIndex
     generation: int
@@ -73,10 +72,6 @@ class Snapshot:
     #: the watch daemon (0 when the generation never touched the
     #: archive — CLI one-shots, direct file loads).
     archive_generation: int = 0
-    _readers: int = field(default=0, repr=False)
-    _drained: threading.Event = field(
-        default_factory=threading.Event, repr=False
-    )
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -92,7 +87,7 @@ class SnapshotStore:
     """Atomic holder of the active mapping generation.
 
     Readers call :meth:`current` (one attribute read — atomic under the
-    GIL) or take a lease with :meth:`acquire` when they need the same
+    GIL) and keep the returned snapshot when they need the same
     generation across several lookups.  Writers call one of the
     ``load_from_*`` methods; each verifies its input, builds the index
     *outside* the lock and installs it with :meth:`swap`.
@@ -114,7 +109,6 @@ class SnapshotStore:
         self._registry = registry or get_registry()
         self._lock = threading.Lock()
         self._active: Optional[Snapshot] = None
-        self._retiring: List[Snapshot] = []
         self._history: List[Snapshot] = []
         self._history_limit = max(0, history_limit)
         self._next_generation = 1
@@ -145,21 +139,6 @@ class SnapshotStore:
 
     def current_or_none(self) -> Optional[Snapshot]:
         return self._active
-
-    def acquire(self) -> "_Lease":
-        """A context-managed reader lease on the active generation."""
-        with self._lock:
-            snapshot = self._active
-            if snapshot is None:
-                raise NoSnapshotError()
-            snapshot._readers += 1
-        return _Lease(self, snapshot)
-
-    def _release(self, snapshot: Snapshot) -> None:
-        with self._lock:
-            snapshot._readers -= 1
-            if snapshot._readers <= 0 and snapshot is not self._active:
-                snapshot._drained.set()
 
     # -- writer side -------------------------------------------------------
 
@@ -205,14 +184,13 @@ class SnapshotStore:
             self._next_generation += 1
             previous = self._active
             self._active = snapshot
-            if previous is not None:
-                if previous._readers <= 0:
-                    previous._drained.set()
-                else:
-                    self._retiring.append(previous)
-                if remember_previous and self._history_limit:
-                    self._history.append(previous)
-                    del self._history[: -self._history_limit]
+            if (
+                previous is not None
+                and remember_previous
+                and self._history_limit
+            ):
+                self._history.append(previous)
+                del self._history[: -self._history_limit]
             self.stale = False
         self._registry.counter(
             "serve_snapshot_swaps_total", "Snapshot generations installed"
@@ -295,30 +273,6 @@ class SnapshotStore:
                     stale=self.stale,
                 )
             return None
-
-    def drain(self, timeout: float = 5.0) -> int:
-        """Wait for retired generations to lose their last reader.
-
-        Returns the number of generations actually retired; generations
-        still held past *timeout* stay on the retiring list.
-        """
-        with self._lock:
-            pending = list(self._retiring)
-        deadline = time.monotonic() + timeout
-        retired = 0
-        for snapshot in pending:
-            remaining = max(0.0, deadline - time.monotonic())
-            if snapshot._drained.wait(remaining):
-                retired += 1
-                with self._lock:
-                    if snapshot in self._retiring:
-                        self._retiring.remove(snapshot)
-        if retired:
-            self._registry.counter(
-                "serve_snapshots_retired_total",
-                "Replaced generations fully drained of readers",
-            ).inc(retired)
-        return retired
 
     # -- integrity ---------------------------------------------------------
 
@@ -497,17 +451,6 @@ class SnapshotStore:
             raise self._integrity_failure("blob", str(exc), path) from exc
         return self.swap(index, source="blob", label=str(path))
 
-    def advance_generation(self, minimum: int) -> None:
-        """Ensure the next installed generation is numbered ≥ *minimum*.
-
-        Pool workers use this so their response ``generation`` matches
-        the pool-wide pointer generation: a worker respawned mid-stream
-        (or started late) jumps its counter forward instead of replaying
-        1, 2, 3 while its siblings serve generation N.
-        """
-        with self._lock:
-            self._next_generation = max(self._next_generation, minimum)
-
     # -- time-travel -------------------------------------------------------
 
     def attach_archive(self, archive) -> None:
@@ -578,7 +521,6 @@ class SnapshotStore:
     def stats(self) -> Dict[str, object]:
         with self._lock:
             active = self._active
-            retiring = len(self._retiring)
             history = len(self._history)
             archive_cached = len(self._archive_cache)
         out: Dict[str, object] = {
@@ -586,26 +528,9 @@ class SnapshotStore:
             "swap_failures": self.swap_failures,
             "last_swap_error": self.last_swap_error,
             "rollback_count": self.rollback_count,
-            "retiring_generations": retiring,
             "history_depth": history,
             "timetravel_cached": archive_cached,
         }
         if active is not None:
             out["active"] = active.describe()
         return out
-
-
-class _Lease:
-    """Context manager pinning one snapshot for a reader."""
-
-    __slots__ = ("_store", "snapshot")
-
-    def __init__(self, store: SnapshotStore, snapshot: Snapshot) -> None:
-        self._store = store
-        self.snapshot = snapshot
-
-    def __enter__(self) -> Snapshot:
-        return self.snapshot
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._store._release(self.snapshot)

@@ -240,7 +240,7 @@ class PoolTopView:
     Reads the pool's state directory — ``pool.json`` for the supervisor
     posture and ``worker-N.json`` for each worker's pid and private
     admin port — then scrapes every worker's own ``/metrics``.  Rendered
-    as one row per worker (pid, generation, request rate from
+    as one row per worker (pid, request rate from
     ``serve_http_requests_total`` deltas, admission in-flight) plus a
     machine-total line, which is the number the whole multi-worker tier
     exists to move.
@@ -298,12 +298,11 @@ class PoolTopView:
         lines.append(
             f"  supervisor pid {pool.get('supervisor_pid', '?')}"  # type: ignore[union-attr]
             f"   {pool.get('host')}:{pool.get('port')}"  # type: ignore[union-attr]
-            f"   generation {pool.get('generation', 0)}"  # type: ignore[union-attr]
             f"   respawns {pool.get('respawns', 0)}"  # type: ignore[union-attr]
         )
         lines.append("")
         lines.append(
-            "  worker      pid   gen       rps   in-flight"
+            "  worker      pid       rps   in-flight"
         )
         total_rate = 0.0
         for worker in state.get("workers", []):  # type: ignore[union-attr]
@@ -311,7 +310,7 @@ class PoolTopView:
             metrics = worker.get("metrics")
             if not isinstance(metrics, dict):
                 reason = worker.get("scrape_error", "no state file")
-                lines.append(f"  {index:>6}        —     —         —   ({reason})")
+                lines.append(f"  {index:>6}        —         —   ({reason})")
                 continue
             requests = sum(
                 metrics.get("serve_http_requests_total", {}).values()
@@ -331,10 +330,9 @@ class PoolTopView:
             inflight = next(iter(inflight_series.values()), 0.0)
             lines.append(
                 f"  {index:>6}  {worker.get('pid', 0):>7}"
-                f"  {worker.get('generation', 0):>4}"
                 f"  {rate:8.1f}   {inflight:9.0f}"
             )
-        lines.append(f"  total              {total_rate:14.1f} req/s (machine)")
+        lines.append(f"  total        {total_rate:14.1f} req/s (machine)")
         return "\n".join(lines) + "\n"
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional
 
 from ..core.mapping import OrgMapping
-from ..errors import ReproError, SnapshotIntegrityError
+from ..errors import ReproError
 from ..obs import get_registry
 from ..obs.log import get_event_log
 from ..resilience.policy import RetryPolicy

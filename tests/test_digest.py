@@ -86,12 +86,25 @@ def golden_universe():
     return generate_universe(GOLDEN_UNIVERSE)
 
 
+def _run(universe, config=None):
+    store = ArtifactStore()
+    u = universe
+    result = BorgesPipeline(
+        u.whois, u.pdb, u.web, config=config, artifact_store=store
+    ).run()
+    return result, store
+
+
 @pytest.fixture(scope="module")
 def golden_run(golden_universe):
-    store = ArtifactStore()
-    u = golden_universe
-    result = BorgesPipeline(u.whois, u.pdb, u.web, artifact_store=store).run()
-    return result, store
+    """A run under whatever fault profile the environment selects."""
+    return _run(golden_universe)
+
+
+@pytest.fixture(scope="module")
+def clean_run(golden_universe):
+    """A run with faults off: a fault profile salts every fingerprint."""
+    return _run(golden_universe, BorgesConfig().with_fault_profile("none"))
 
 
 class TestGoldenDigests:
@@ -106,14 +119,18 @@ class TestGoldenDigests:
             "web": dataset_digest(u.web),
         } == GOLDEN_DATASETS
 
-    def test_stage_fingerprints_and_content(self, golden_run):
-        _, store = golden_run
-        manifest = store.manifest()
+    def test_stage_fingerprints_and_content(self, clean_run, golden_run):
+        manifest = clean_run[1].manifest()
         assert {
             entry["stage"]: (fingerprint, entry["content_digest"])
             for fingerprint, entry in manifest.items()
         } == GOLDEN_STAGES
         assert stable_digest(manifest) == GOLDEN_MANIFEST
+        # Whatever the environment's fault profile, it changes no result.
+        assert {
+            entry["stage"]: entry["content_digest"]
+            for entry in golden_run[1].manifest().values()
+        } == {stage: content for stage, (_, content) in GOLDEN_STAGES.items()}
 
     def test_mapping_digest(self, golden_run):
         result, _ = golden_run

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -314,6 +316,28 @@ class TestRuntimeSampler:
 
     def test_rss_helper_nonnegative(self):
         assert _process_rss_bytes() >= 0
+
+    def test_rss_fallback_reads_macos_bytes_as_bytes(self, monkeypatch):
+        """Without /proc, macOS ``ru_maxrss`` (bytes) is not scaled."""
+        import builtins
+        import resource
+
+        real_open = builtins.open
+
+        def no_proc(path, *args, **kwargs):
+            if str(path) == "/proc/self/status":
+                raise OSError("no /proc here")
+            return real_open(path, *args, **kwargs)
+
+        hundred_mib = 100 * 1024 * 1024
+        monkeypatch.setattr(builtins, "open", no_proc)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        monkeypatch.setattr(
+            resource,
+            "getrusage",
+            lambda who: SimpleNamespace(ru_maxrss=hundred_mib),
+        )
+        assert _process_rss_bytes() == hundred_mib
 
 
 class TestQuantileHelpers:

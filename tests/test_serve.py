@@ -134,8 +134,6 @@ class TestSnapshotStore:
         store = SnapshotStore(registry=registry)
         with pytest.raises(NoSnapshotError):
             store.current()
-        with pytest.raises(NoSnapshotError):
-            store.acquire()
 
     def test_swap_bumps_generation_and_gauge(self, borges_mapping, registry):
         store = SnapshotStore(registry=registry)
@@ -145,17 +143,6 @@ class TestSnapshotStore:
         assert store.current() is second
         assert registry.value("serve_snapshot_swaps_total") == 2.0
         assert registry.value("serve_snapshot_generation") == 2.0
-
-    def test_drain_waits_for_reader_leases(self, borges_mapping, registry):
-        store = SnapshotStore(registry=registry)
-        store.load_from_mapping(borges_mapping)
-        lease = store.acquire()
-        old = lease.snapshot
-        store.load_from_mapping(borges_mapping)
-        assert store.drain(timeout=0.05) == 0  # reader still holds gen 1
-        lease.__exit__(None, None, None)
-        assert store.drain(timeout=1.0) == 1
-        assert old is not store.current()
 
     def test_try_swap_keeps_old_generation_and_marks_stale(
         self, borges_mapping, registry, tmp_path
@@ -238,6 +225,20 @@ class TestQueryService:
         assert [r.get("asn") for r in out] == asns + [-5]
         assert out[-1]["error"] == "unknown_asn"
 
+    def test_batch_answers_from_one_generation(self, borges_mapping, registry):
+        """A swap landing mid-batch changes no entry of that batch."""
+        service = make_service(borges_mapping, registry)
+        asns = service.store.current().index.asns()[:5]
+
+        def swap_after_first():
+            yield asns[0]
+            service.store.load_from_mapping(borges_mapping)
+            yield from asns[1:]
+
+        out = service.batch_lookup(swap_after_first())
+        assert [entry["generation"] for entry in out] == [1] * len(asns)
+        assert service.store.current().generation == 2
+
     def test_unavailable_before_first_snapshot(self, registry):
         service = QueryService(registry=registry)
         with pytest.raises(NoSnapshotError):
@@ -300,7 +301,6 @@ class TestQueryService:
         stop.set()
         for t in threads:
             t.join(timeout=5.0)
-        service.store.drain(timeout=1.0)
         assert errors == []
         assert len(generations) >= 2  # readers observed the swap happening
 

@@ -920,38 +920,7 @@ class TestRobustnessCLI:
         assert '"results"' in capsys.readouterr().out
 
 
-# -- drain / rollback depth (continuous-operation satellites) --------------
-
-
-class TestDrainWithStuckLease:
-    def test_drain_times_out_on_a_held_lease_then_retires_it(
-        self, loaded_store, borges_mapping, universe
-    ):
-        lease = loaded_store.acquire()
-        try:
-            loaded_store.load_from_mapping(
-                borges_mapping, whois=universe.whois, label="gen2"
-            )
-            # The stuck reader pins generation 1 on the retiring list:
-            # drain must give up at its timeout, not block forever.
-            started = time.monotonic()
-            assert loaded_store.drain(timeout=0.05) == 0
-            assert time.monotonic() - started < 2.0
-            assert loaded_store.stats()["retiring_generations"] == 1
-        finally:
-            lease.__exit__(None, None, None)
-        assert loaded_store.drain(timeout=1.0) == 1
-        assert loaded_store.stats()["retiring_generations"] == 0
-
-    def test_released_before_swap_never_hits_the_retiring_list(
-        self, loaded_store, borges_mapping, universe
-    ):
-        with loaded_store.acquire() as snapshot:
-            assert snapshot.generation == 1
-        loaded_store.load_from_mapping(
-            borges_mapping, whois=universe.whois, label="gen2"
-        )
-        assert loaded_store.stats()["retiring_generations"] == 0
+# -- rollback depth (continuous-operation satellites) ----------------------
 
 
 class TestRollbackWalksPastQuarantinedGenerations:
