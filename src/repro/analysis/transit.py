@@ -18,7 +18,6 @@ import numpy as np
 
 from ..asrank.rank import ASRank
 from ..core.mapping import OrgMapping
-from ..types import ASN
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List
 
 from ..core.mapping import OrgMapping
 from ..core.org_keys import oid_w_clusters

@@ -307,14 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--history",
         type=int,
-        default=3,
-        help="last-known-good generations retained for rollback (default 3)",
+        default=None,
+        help="last-known-good generations retained for rollback (default "
+        "3); single-process tier only: a --workers pool serves one "
+        "generation",
     )
     serve.add_argument(
         "--rollback",
         action="store_true",
         help="instead of serving, ask the server already running at "
-        "--host/--port to roll back to its last-known-good snapshot",
+        "--host/--port to roll back to its last-known-good snapshot "
+        "(single-process tier only)",
     )
     serve.add_argument(
         "--access-log",
@@ -1129,9 +1132,10 @@ def _build_service(args: argparse.Namespace):
             default_deadline=getattr(args, "deadline_ms", 1000.0) / 1000.0,
         ).validate()
         admission = AdmissionController(limits, registry=registry)
+    history = getattr(args, "history", None)
     store = SnapshotStore(
         registry=registry,
-        history_limit=getattr(args, "history", 3),
+        history_limit=3 if history is None else history,
         injector=injector,
     )
     slo = None
@@ -1231,6 +1235,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.rollback:
         return _cmd_rollback_client(args)
     if args.workers > 1:
+        if args.history is not None:
+            print(
+                "error: --history applies to the single-process tier; a "
+                "--workers pool serves one generation and keeps no history",
+                file=sys.stderr,
+            )
+            return 2
         return _cmd_serve_pool(args)
     service = _build_service(args)
     server = QueryServer(service, host=args.host, port=args.port)

@@ -88,7 +88,8 @@ def make_artifact(stage: str, fingerprint: str, payload: object) -> Artifact:
 class ArtifactStore:
     """In-memory artifact cache with an optional on-disk JSON mirror.
 
-    Thread-safe: the executor may finish independent stages concurrently.
+    Thread-safe: a single run executes its stages on the calling thread,
+    but the shards of a thread-mode sharded run share one store.
     Per-stage counters (computed / memory_hits / disk_hits / misses) are
     the ground truth the sweep tests and the warm-cache CI job assert on.
     """

@@ -9,7 +9,6 @@ in the paper's graph construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Union
 

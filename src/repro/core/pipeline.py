@@ -54,7 +54,6 @@ from .mapping import OrgMapping
 from .merge import merge_clusters, reduce_shard_clusters
 from .ner import NERModule, NERRecordResult
 from .partition import PartitionPlan, partition_universe
-from .org_keys import oid_p_clusters, oid_w_clusters  # noqa: F401 - re-export
 from .stages import (
     STAGE_FAVICONS,
     STAGE_MERGE,

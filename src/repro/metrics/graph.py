@@ -15,7 +15,6 @@ from typing import Dict
 import networkx as nx
 
 from ..core.mapping import OrgMapping
-from ..types import ASN
 from .org_factor import org_factor
 
 

@@ -14,12 +14,28 @@ from __future__ import annotations
 import gzip
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from ..errors import SchemaError, SnapshotError
 from ..types import ASN, PdbOrgID
 from .models import Network, Organization
+
+#: ``Organization.to_json()`` and ``Network.to_json()`` of a record with
+#: no ``extra`` as field specs: the content digest writes exactly those
+#: records, column by column.
+_ORG_FIELDS = (
+    ("id", attrgetter("org_id")),
+    ("name", attrgetter("name")),
+    ("website", attrgetter("website")),
+    ("country", attrgetter("country")),
+)
+_NET_FIELDS = tuple(
+    (name, attrgetter(name))
+    for name in ("asn", "name", "org_id", "aka", "notes", "website", "info_type")
+)
+_HAS_EXTRA = attrgetter("extra")
 
 
 @dataclass
@@ -123,11 +139,17 @@ class PDBSnapshot:
         ``meta`` (generation timestamps, source labels) is excluded: two
         snapshots with identical org/net data are the same input.
         """
-        from ..digest import stable_digest
+        from ..digest import json_digest, records_json
 
-        payload = self.to_json()
-        payload.pop("meta", None)
-        return stable_digest(payload)
+        # The canonical form of to_json() without "meta"; a record with
+        # ``extra`` is written from its own to_json().
+        return json_digest(
+            '{"net":{"data":%s},"org":{"data":%s}}'
+            % (
+                records_json(self.nets, _NET_FIELDS, fallback_if=_HAS_EXTRA),
+                records_json(self.orgs, _ORG_FIELDS, fallback_if=_HAS_EXTRA),
+            )
+        )
 
     def restricted_to(self, asns: Iterable[ASN]) -> "PDBSnapshot":
         """Return a sub-snapshot containing only the given ASNs.

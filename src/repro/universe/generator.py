@@ -31,7 +31,6 @@ from .stream import (  # noqa: F401  (re-exported API surface)
     Universe,
     UniverseChunk,
     UniversePlan,
-    _is_carrier,
     assemble_universe,
     build_plan,
     stream_chunks,

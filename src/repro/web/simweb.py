@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import FetchError, URLError
@@ -91,6 +92,19 @@ class Site:
     @property
     def favicon_id(self) -> Optional[FaviconHash]:
         return favicon_hash(self.favicon) if self.favicon else None
+
+
+#: The fields of a site that make up the web's content digest.
+_SITE_FIELDS = (
+    ("host", attrgetter("host")),
+    ("title", attrgetter("title")),
+    # ``str(site.redirect_kind.value)`` without the ``value`` property
+    # call: every RedirectKind value is a str.
+    ("redirect_kind", attrgetter("redirect_kind._value_")),
+    ("redirect_target", attrgetter("redirect_target")),
+    ("favicon", attrgetter("favicon")),
+    ("alive", attrgetter("alive")),
+)
 
 
 class SimulatedWeb:
@@ -196,20 +210,10 @@ class SimulatedWeb:
         state, not content, so it does not participate.
         """
         if self._content_digest is None:
-            from ..digest import stable_digest
+            from ..digest import json_digest, records_json
 
-            self._content_digest = stable_digest(
-                [
-                    {
-                        "host": site.host,
-                        "title": site.title,
-                        "redirect_kind": str(site.redirect_kind.value),
-                        "redirect_target": site.redirect_target,
-                        "favicon": site.favicon,
-                        "alive": site.alive,
-                    }
-                    for site in self.sites()
-                ]
+            self._content_digest = json_digest(
+                records_json(self._sites, _SITE_FIELDS)
             )
         return self._content_digest
 

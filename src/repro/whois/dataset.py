@@ -7,11 +7,29 @@ Factor graph's vertex set is *all networks appearing in WHOIS records*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import SchemaError, UnknownASNError
 from ..types import ASN, WhoisOrgID
 from .models import ASNDelegation, WhoisOrg
+
+#: ``WhoisOrg.to_json()`` and ``ASNDelegation.to_json()`` as field specs:
+#: the content digest writes exactly those records, column by column.
+_ORG_FIELDS = (
+    ("type", "Organization"),
+    ("organizationId", attrgetter("org_id")),
+    ("name", attrgetter("name")),
+    ("country", attrgetter("country")),
+    ("source", lambda org: org.source.upper()),
+)
+_DELEGATION_FIELDS = (
+    ("type", "ASN"),
+    ("asn", lambda delegation: str(delegation.asn)),
+    ("organizationId", attrgetter("org_id")),
+    ("name", attrgetter("name")),
+    ("source", lambda delegation: delegation.source.upper()),
+)
 
 
 @dataclass
@@ -100,18 +118,15 @@ class WhoisDataset:
 
     def content_digest(self) -> str:
         """Stable content hash; anchors stage-artifact fingerprints."""
-        from ..digest import stable_digest
+        from ..digest import json_digest, records_json
 
-        return stable_digest(
-            {
-                "orgs": [
-                    self.orgs[org_id].to_json() for org_id in sorted(self.orgs)
-                ],
-                "delegations": [
-                    self.delegations[asn].to_json()
-                    for asn in sorted(self.delegations)
-                ],
-            }
+        # The canonical form of {"orgs": [...], "delegations": [...]}.
+        return json_digest(
+            '{"delegations":%s,"orgs":%s}'
+            % (
+                records_json(self.delegations, _DELEGATION_FIELDS),
+                records_json(self.orgs, _ORG_FIELDS),
+            )
         )
 
     def restricted_to(self, asns: Iterable[ASN]) -> "WhoisDataset":

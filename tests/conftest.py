@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import build_as2org_mapping, build_as2orgplus_mapping
-from repro.config import TEST_UNIVERSE, BorgesConfig
+from repro.config import TEST_UNIVERSE
 from repro.core import BorgesPipeline
 from repro.llm import make_default_client
 from repro.universe import generate_universe

@@ -1,6 +1,5 @@
 """Unit/integration tests for the analysis modules (Tables 3–9, Figs 7–9)."""
 
-import pytest
 
 from repro.analysis import (
     feature_contribution_table,

@@ -1,6 +1,5 @@
 """Unit tests for the AS2Org and as2org+ baselines, incl. regex extraction."""
 
-import pytest
 
 from repro.asrank import ASTopology
 from repro.baselines import (

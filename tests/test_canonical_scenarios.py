@@ -5,7 +5,6 @@ Tables 1–2, Appendix B) and asserts that the full Borges pipeline
 recovers — or correctly refuses — the relationship.
 """
 
-import pytest
 
 from repro.universe.canonical import (
     AS_CENTURYLINK,

@@ -1,6 +1,5 @@
 """Tests for the Chen et al. mismatch-refinement baseline."""
 
-import pytest
 
 from repro.baselines.chen_mismatch import (
     build_chen_mapping,

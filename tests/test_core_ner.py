@@ -1,6 +1,5 @@
 """Unit tests for the NER module: input filter, extraction, output filter."""
 
-import pytest
 
 from repro.config import BorgesConfig, LLMConfig
 from repro.core.ner import NERModule

@@ -7,7 +7,6 @@ from repro.core.web_inference import WebInferenceModule
 from repro.llm.simulated import make_default_client
 from repro.peeringdb import Network, Organization, PDBSnapshot
 from repro.web.favicon import FaviconAPI
-from repro.web.http import RedirectKind
 from repro.web.scraper import HeadlessScraper
 from repro.web.simweb import SimulatedWeb
 

@@ -11,9 +11,11 @@ here is a cache-invalidating change that needs an
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 from typing import Any, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,16 @@ from hypothesis import strategies as st
 from repro.config import BorgesConfig, UniverseConfig
 from repro.core import ArtifactStore, BorgesPipeline
 from repro.core.artifacts import ARTIFACT_SCHEMA_VERSION
+from repro import digest
 from repro.digest import canonical_json, dataset_digest, stable_digest
 from repro.obs import config_fingerprint
+from repro.peeringdb.models import Network, Organization
+from repro.peeringdb.snapshot import PDBSnapshot
 from repro.universe import generate_universe
+from repro.web.http import RedirectKind
+from repro.web.simweb import Site, SimulatedWeb
+from repro.whois.dataset import WhoisDataset
+from repro.whois.models import ASNDelegation, WhoisOrg
 
 GOLDEN_UNIVERSE = UniverseConfig(seed=7, n_organizations=300)
 
@@ -225,6 +234,132 @@ class TestEncoderEquivalence:
             canonical_json({"x": object()})
         with pytest.raises(TypeError):
             canonical_json(Record)  # a dataclass type, not an instance
+
+
+# -- dataset digests, written column by column ---------------------------------
+
+
+def whois_payload(dataset: WhoisDataset) -> Any:
+    """What ``WhoisDataset.content_digest`` hashed as a built payload."""
+    return {
+        "orgs": [dataset.orgs[k].to_json() for k in sorted(dataset.orgs)],
+        "delegations": [
+            dataset.delegations[k].to_json() for k in sorted(dataset.delegations)
+        ],
+    }
+
+
+def pdb_payload(snapshot: PDBSnapshot) -> Any:
+    payload = snapshot.to_json()
+    payload.pop("meta", None)
+    return payload
+
+
+def web_payload(web: SimulatedWeb) -> Any:
+    return [
+        {
+            "host": site.host,
+            "title": site.title,
+            "redirect_kind": str(site.redirect_kind.value),
+            "redirect_target": site.redirect_target,
+            "favicon": site.favicon,
+            "alive": site.alive,
+        }
+        for site in web.sites()
+    ]
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+    BIG = 70000
+
+
+#: Text the encoder must escape, mixed with text it writes as it is.
+texts = st.text(max_size=6) | st.sampled_from(
+    ["", "plain", 'quo"te', "back\\slash", "tab\tnl\n", "\x00\x1f\x7f", "naïve ☃", "50%"]
+)
+#: Int fields built without validate(): bools and IntEnums get through.
+ints = (
+    st.integers(min_value=0, max_value=2**32)
+    | st.booleans()
+    | st.sampled_from(list(Small))
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | texts,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(texts, children, max_size=3),
+    max_leaves=6,
+)
+#: PDB ``extra``: empty most of the time; may shadow a modelled key.
+extras = st.just({}) | st.dictionaries(
+    st.sampled_from(["name", "asn", "id", "status"]) | texts, json_values, max_size=3
+)
+
+whois_orgs = st.builds(
+    WhoisOrg, org_id=texts, name=texts, country=texts, source=texts
+)
+delegations = st.builds(
+    ASNDelegation, asn=ints, org_id=texts, name=texts, source=texts
+)
+pdb_orgs = st.builds(
+    Organization, org_id=ints, name=texts, website=texts, country=texts,
+    extra=extras,
+)
+networks = st.builds(
+    Network, asn=ints, name=texts, org_id=ints, aka=texts, notes=texts,
+    website=texts, info_type=texts, extra=extras,
+)
+sites = st.builds(
+    Site, host=texts, title=texts, redirect_kind=st.sampled_from(list(RedirectKind)),
+    redirect_target=texts, favicon=st.binary(max_size=6), alive=st.booleans(),
+)
+
+
+#: Two records per chunk: chunk boundaries fall inside generated lists,
+#: and each chunk picks its columns' encoders on its own.
+small_chunks = mock.patch.object(digest, "_CHUNK", 2)
+
+
+class TestColumnDigests:
+    """Each dataset digest equals the digest of the payload it once built
+    record by record, for any records, validated or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(whois_orgs, max_size=6), st.lists(delegations, max_size=6))
+    def test_whois(self, orgs, delegs):
+        dataset = WhoisDataset(
+            orgs={o.org_id: o for o in orgs},
+            delegations={d.asn: d for d in delegs},
+        )
+        with small_chunks:
+            assert dataset.content_digest() == stable_digest(whois_payload(dataset))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(pdb_orgs, max_size=6), st.lists(networks, max_size=6))
+    def test_pdb(self, orgs, nets):
+        snapshot = PDBSnapshot(
+            orgs={o.org_id: o for o in orgs},
+            nets={n.asn: n for n in nets},
+            meta={"generated": "now"},
+        )
+        with small_chunks:
+            assert snapshot.content_digest() == stable_digest(pdb_payload(snapshot))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(sites, max_size=6))
+    def test_web(self, site_list):
+        web = SimulatedWeb()
+        for site in site_list:
+            if site.host.lower() not in web:
+                web.add_site(site)
+        with small_chunks:
+            assert web.content_digest() == stable_digest(web_payload(web))
+
+    def test_golden_universe(self, golden_universe):
+        u = golden_universe
+        assert u.whois.content_digest() == stable_digest(whois_payload(u.whois))
+        assert u.pdb.content_digest() == stable_digest(pdb_payload(u.pdb))
+        assert u.web.content_digest() == stable_digest(web_payload(u.web))
 
 
 # -- the per-object fallback token --------------------------------------------

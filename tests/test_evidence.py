@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.evidence import Evidence, MappingExplainer, collect_evidence
+from repro.core.evidence import MappingExplainer, collect_evidence
 from repro.universe.canonical import (
     AS_CENTURYLINK,
     AS_CLEARWIRE,

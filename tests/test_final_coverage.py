@@ -1,6 +1,5 @@
 """Last-mile coverage: formatting, stats counters, constant sanity."""
 
-import pytest
 
 from repro.config import TEST_UNIVERSE, UniverseConfig
 from repro.experiments.report import _fmt, render_table

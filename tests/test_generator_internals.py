@@ -2,12 +2,11 @@
 
 import dataclasses
 
-import pytest
 
-from repro.config import TEST_UNIVERSE, UniverseConfig
+from repro.config import TEST_UNIVERSE
 from repro.universe import generate_universe
 from repro.universe.entities import OrgCategory
-from repro.universe.generator import _is_carrier
+from repro.universe.stream import _is_carrier
 from repro.web.simweb import is_framework_favicon_brand
 
 

@@ -1,8 +1,6 @@
 """Remaining coverage: org keys, hypergiant structure, profile plumbing."""
 
-import dataclasses
 
-import pytest
 
 from repro.config import LLMConfig
 from repro.core.org_keys import oid_p_clusters, oid_w_clusters

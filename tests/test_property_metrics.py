@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the Organization Factor and
 marginal-growth metrics — the invariants §5.4 asserts in prose."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.metrics import org_factor

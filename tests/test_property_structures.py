@@ -4,7 +4,7 @@ extraction engine's hallucination guard."""
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.mapping import OrgMapping

@@ -11,11 +11,10 @@ reduce, chunking and the CLI surface.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
-from repro.config import TEST_UNIVERSE, BorgesConfig, UniverseConfig
+from repro.config import BorgesConfig, UniverseConfig
 from repro.core import (
     BorgesPipeline,
     merge_clusters,

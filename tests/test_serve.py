@@ -25,7 +25,7 @@ from repro.errors import (
     UnknownASNError,
     UnknownOrgError,
 )
-from repro.obs import MetricsRegistry, use_event_log, use_registry
+from repro.obs import use_event_log, use_registry
 from repro.serve import (
     MappingIndex,
     QueryServer,

@@ -36,7 +36,7 @@ from repro.errors import (
     RollbackUnavailableError,
     SnapshotIntegrityError,
 )
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import use_registry
 from repro.resilience import PROFILES, FaultInjector, corrupt_snapshot_text
 from repro.serve import (
     AdmissionController,
@@ -906,6 +906,20 @@ class TestRobustnessCLI:
         )
         assert status == 1
         assert "cannot reach" in capsys.readouterr().out
+
+    def test_serve_pool_rejects_history(self, capsys, monkeypatch):
+        # A pool worker installs one generation: it has no history.
+        from repro import cli
+
+        started = []
+        monkeypatch.setattr(cli, "_cmd_serve_pool", started.append)
+        status = cli.main(["serve", "--workers", "2", "--history", "5"])
+        assert status == 2
+        assert not started
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: --history") and "\n" not in err
+        cli.main(["serve", "--workers", "2"])
+        assert len(started) == 1
 
     def test_release_files_round_trip_through_serve(
         self, tmp_path, capsys

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import random
 import signal
-import socket
 import struct
 import time
 import urllib.error
@@ -43,7 +42,6 @@ from repro.serve import (
     WorkerConfig,
     WorkerPool,
     diff_indexes,
-    map_blob_file,
     run_pipelined,
     tokenize,
 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import TEST_UNIVERSE, UniverseConfig
+from repro.config import TEST_UNIVERSE
 from repro.errors import DataError
 from repro.universe import generate_universe
 from repro.universe.entities import Brand, GroundTruth, Org, OrgCategory

@@ -12,7 +12,6 @@ from repro.web.http import (
 )
 from repro.web.simweb import (
     SimulatedWeb,
-    Site,
     favicon_hash,
     is_framework_favicon_brand,
     make_favicon,

@@ -1,6 +1,5 @@
 """Unit tests for the headless-browser scraper (R&R resolution)."""
 
-import pytest
 
 from repro.config import ScraperConfig
 from repro.web.http import RedirectKind

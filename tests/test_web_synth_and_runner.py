@@ -1,10 +1,8 @@
 """Coverage for web synthesis details and the experiment-context cache."""
 
-import pytest
 
-from repro.config import TEST_UNIVERSE, UniverseConfig
+from repro.config import UniverseConfig
 from repro.experiments.runner import _CONTEXT_CACHE, get_context
-from repro.universe import generate_universe
 from repro.universe.canonical import build_canonical_plan
 from repro.universe.web_synth import _flagship_brand
 from repro.web.http import RedirectKind
