@@ -13,14 +13,18 @@ directory, mirrors them to disk as canonical JSON — one file per
 artifact, byte-identical across identical runs — so a later process
 (CI's warm-cache job, a repeated CLI run with ``--artifact-cache``) is
 served from cache.
+
+A computed artifact's bytes are produced on its first read: a ``put``
+into a store with a root, a memory hit, or :meth:`ArtifactStore.manifest`.
+Until then the store holds the stage's value and a thunk that encodes
+it, so a run on a store nothing reads never pays for the codec.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..digest import canonical_json, stable_digest
 from ..obs.log import get_event_log
@@ -31,19 +35,59 @@ from ..obs.log import get_event_log
 ARTIFACT_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
 class Artifact:
     """One stage output: a JSON payload plus its addresses.
 
     ``fingerprint`` is the *input* address (what produced it);
     ``content_digest`` is the hash of the payload itself, used by the
     determinism property tests ("same inputs ⇒ byte-identical output").
+
+    An artifact read from disk starts with both set.  A computed one
+    starts with ``materialize`` only: a thunk that builds the artifact
+    from the stage's value (see :class:`~repro.core.executor.StageExecutor`).
+    The first read of ``payload`` or ``content_digest`` runs it, keeps
+    both fields and drops the thunk, and with it the value.  That is
+    sound because stage values are immutable after ``produce``; it also
+    means an encode error surfaces at the first read.
     """
 
-    stage: str
-    fingerprint: str
-    content_digest: str
-    payload: object
+    __slots__ = (
+        "stage", "fingerprint", "_content_digest", "_payload", "_materialize"
+    )
+
+    def __init__(
+        self,
+        stage: str,
+        fingerprint: str,
+        content_digest: Optional[str] = None,
+        payload: object = None,
+        materialize: Optional[Callable[[], "Artifact"]] = None,
+    ) -> None:
+        self.stage = stage
+        self.fingerprint = fingerprint
+        self._content_digest = content_digest
+        self._payload = payload
+        self._materialize = materialize
+
+    def _read(self) -> None:
+        materialize = self._materialize
+        if materialize is not None:
+            # Thread-mode shards share a store, so two readers may both
+            # get here; each builds the same bytes, so either one wins.
+            built = materialize()
+            self._payload = built.payload
+            self._content_digest = built.content_digest
+            self._materialize = None
+
+    @property
+    def payload(self) -> object:
+        self._read()
+        return self._payload
+
+    @property
+    def content_digest(self) -> str:
+        self._read()
+        return self._content_digest  # type: ignore[return-value]
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -170,17 +214,21 @@ class ArtifactStore:
     # -- writes -----------------------------------------------------------
 
     def put(self, artifact: Artifact, computed: bool = True) -> Artifact:
-        """Record an artifact; persists to disk when a root is set."""
+        """Record an artifact; persists to disk when a root is set.
+
+        Persisting reads the artifact, so with a root its bytes are
+        built here, and an encode error raises before anything is
+        recorded.
+        """
+        path = self._path_for(artifact.stage, artifact.fingerprint)
+        text = None if path is None else canonical_json(artifact.to_json()) + "\n"
         with self._lock:
             self._memory[artifact.fingerprint] = artifact
         if computed:
             self._count(artifact.stage, "computed")
-        path = self._path_for(artifact.stage, artifact.fingerprint)
-        if path is not None:
+        if text is not None:
             try:
-                path.write_text(
-                    canonical_json(artifact.to_json()) + "\n", encoding="utf-8"
-                )
+                path.write_text(text, encoding="utf-8")
             except OSError as exc:
                 get_event_log().emit(
                     "artifact.persist_failed",
@@ -216,7 +264,8 @@ class ArtifactStore:
         """Deterministic fingerprint→content map (no timestamps).
 
         Two identical runs must produce byte-identical manifests; this is
-        the object the determinism property compares.
+        the object the determinism property compares.  It reads every
+        artifact, so it builds the bytes of any not read yet.
         """
         with self._lock:
             artifacts = list(self._memory.values())
@@ -224,9 +273,3 @@ class ArtifactStore:
             a.fingerprint: {"stage": a.stage, "content_digest": a.content_digest}
             for a in sorted(artifacts, key=lambda a: (a.stage, a.fingerprint))
         }
-
-    def save_manifest(self, path: Union[str, Path]) -> Path:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(canonical_json(self.manifest()) + "\n", encoding="utf-8")
-        return target

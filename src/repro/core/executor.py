@@ -33,7 +33,7 @@ from ..obs.context import current_trace_context, use_trace_context
 from ..obs.log import get_event_log
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.tracer import Tracer, get_tracer
-from .artifacts import ArtifactStore, compute_fingerprint, make_artifact
+from .artifacts import Artifact, ArtifactStore, compute_fingerprint, make_artifact
 from .stages import StageContext, StageSpec
 
 
@@ -277,12 +277,25 @@ class StageExecutor:
 
         inputs = {dep: outcome.values[dep] for dep in surviving}
         value = spec.produce(self.ctx, inputs)
-        payload = spec.encode(value)
-        self.store.put(make_artifact(spec.name, fingerprint, payload))
+        # Bytes on first read: the store keeps the value and encodes it
+        # only when something reads the artifact (a disk mirror, a memory
+        # hit, the manifest).  ``make_artifact`` is looked up here at
+        # call time, so a wrapper installed on this module sees it.
+        self.store.put(
+            Artifact(
+                spec.name,
+                fingerprint,
+                materialize=lambda: make_artifact(
+                    spec.name, fingerprint, spec.encode(value)
+                ),
+            )
+        )
         record.status = "ok"
         record.source = "computed"
         # No decode on a miss: every ``produce`` returns the canonical
         # value its ``decode`` would rebuild from the artifact, so cold
         # and warm runs still hand downstream stages equal values
-        # (pinned by test_stage_dag::test_produce_is_canonical).
+        # (pinned by test_stage_dag::test_produce_is_canonical).  The
+        # value is shared with the store, so nothing downstream may
+        # mutate it (test_stage_dag::TestLazyArtifacts).
         outcome.values[spec.name] = value

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Collection, Dict, Iterable, List, Optional, Set, Union
 
 from ..errors import DataError, UnknownASNError
 from ..types import ASN, Cluster
@@ -23,7 +23,7 @@ class OrgMapping:
     def __init__(
         self,
         universe: Iterable[ASN],
-        clusters: Iterable[Iterable[ASN]],
+        clusters: Iterable[Collection[ASN]],
         method: str = "",
         org_names: Optional[Dict[ASN, str]] = None,
     ) -> None:
@@ -36,7 +36,9 @@ class OrgMapping:
         """
         universe_set: Set[ASN] = {int(a) for a in universe}
         self._method = method
-        merged = merge_clusters([clusters])
+        # Only multi-ASN clusters can join two ASNs; a singleton either
+        # becomes a singleton org anyway or is dropped with the universe.
+        merged = merge_clusters([[c for c in clusters if len(c) > 1]])
         # Multi-ASN organizations, largest first.  Singletons stay bare
         # ASNs (a frozenset costs ~200 bytes) and become clusters on demand.
         self._multi: List[Cluster] = []

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..core.mapping import OrgMapping, verify_mapping_payload
+from ..core.org_keys import oid_w_clusters
 from ..errors import (
     DataError,
     NoSnapshotError,
@@ -420,9 +421,7 @@ class SnapshotStore:
             )
         mapping = OrgMapping(
             universe=whois.asns(),
-            clusters=[
-                frozenset(members) for members in whois.members().values()
-            ],
+            clusters=oid_w_clusters(whois),
             method="release",
             org_names={asn: whois.org_name_of(asn) for asn in whois.asns()},
         )

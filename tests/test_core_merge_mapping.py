@@ -1,6 +1,8 @@
 """Unit tests for union-find consolidation and the OrgMapping container."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.mapping import OrgMapping
 from repro.core.merge import UnionFind, merge_clusters
@@ -147,3 +149,45 @@ class TestOrgMapping:
         assert [mapping.org_index_of(a) for a in range(1, 7)] == [0, 0, 0, 1, 2, 3]
         assert mapping.org_name_of(5) == "Solo"
         assert mapping.to_json()["universe"] == [1, 2, 3, 4, 5, 6]
+
+
+def union_find_json(universe, clusters, method, org_names):
+    """``to_json()`` of the mapping built by union-find over *every*
+    cluster, singletons included: the construction the multi-ASN merge
+    replaced, kept here as its oracle."""
+    universe_set = {int(a) for a in universe}
+    multi = []
+    for cluster in merge_clusters([clusters]):
+        kept = frozenset(a for a in cluster if a in universe_set)
+        if len(kept) > 1:
+            multi.append(kept)
+    multi.sort(key=lambda c: (-len(c), min(c)))
+    return {
+        "method": method,
+        "universe": sorted(universe_set),
+        "clusters": [sorted(c) for c in multi],
+        "org_names": {str(k): v for k, v in org_names.items()},
+    }
+
+
+# Small ASNs so clusters overlap often; the universe covers only part of
+# them, so some members fall outside it.
+_asn = st.integers(min_value=1, max_value=30)
+# Lists allow repeated members ([7, 7] names one ASN twice).
+_cluster = st.one_of(
+    st.lists(_asn, max_size=6),
+    st.frozensets(_asn, max_size=6),
+    st.builds(lambda a: [a], _asn),
+)
+
+
+@given(
+    universe=st.frozensets(_asn, max_size=20),
+    clusters=st.lists(_cluster, max_size=12),
+    names=st.dictionaries(_asn, st.text(max_size=3), max_size=4),
+)
+def test_multi_asn_merge_keeps_the_partition(universe, clusters, names):
+    mapping = OrgMapping(
+        universe=universe, clusters=clusters, method="m", org_names=names
+    )
+    assert mapping.to_json() == union_find_json(universe, clusters, "m", names)

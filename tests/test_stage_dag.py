@@ -11,7 +11,9 @@ could not make:
 * the Table-6 sweep computes the shared scrape and NER extraction
   exactly once across all 16 feature combinations;
 * a warm re-run is served entirely from cache and reproduces the same
-  mapping and θ.
+  mapping and θ;
+* a cold run builds no artifact bytes until something reads them, and
+  then builds the bytes an eager encode would have.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from repro.config import (
     UniverseConfig,
 )
 from repro.core import ArtifactStore, BorgesPipeline, build_stage_graph
+from repro.core import executor as executor_mod
+from repro.core import pipeline as pipeline_mod
 from repro.core import stages as stages_mod
 from repro.core.mapping import OrgMapping
 from repro.core.web_inference import WebInferenceModule
@@ -295,6 +299,83 @@ class TestDeterminism:
         assert statuses["rr"] == "ok"
         assert statuses["favicons"] == "ok"
         assert statuses["merge"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# Artifact bytes on first read
+
+
+def count_codec(monkeypatch):
+    """Count stage ``encode`` and ``make_artifact`` calls, wrapped where
+    the pipeline and the executor look them up."""
+    calls = {"encode": 0, "make_artifact": 0}
+    make_artifact = executor_mod.make_artifact
+    build_graph = pipeline_mod.build_stage_graph
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def graph(*args, **kwargs):
+        specs = build_graph(*args, **kwargs)
+        for key, spec in specs.items():
+            specs[key] = dataclasses.replace(
+                spec, encode=counted("encode", spec.encode)
+            )
+        return specs
+
+    monkeypatch.setattr(
+        executor_mod, "make_artifact", counted("make_artifact", make_artifact)
+    )
+    monkeypatch.setattr(pipeline_mod, "build_stage_graph", graph)
+    return calls
+
+
+def consume(result):
+    """Read a result the way callers do: Table 3, the web and NER views,
+    the mapping file."""
+    return (
+        result.feature_table(),
+        exact(result.web_result),
+        exact(result.ner_results),
+        result.mapping.to_json(),
+    )
+
+
+class TestLazyArtifacts:
+    def test_cold_run_builds_no_bytes_until_read(
+        self, small_universe, monkeypatch
+    ):
+        calls = count_codec(monkeypatch)
+        store = ArtifactStore()
+        consume(make_pipeline(small_universe, store=store).run())
+        assert calls == {"encode": 0, "make_artifact": 0}
+        store.manifest()
+        assert calls == {"encode": 8, "make_artifact": 8}
+        store.manifest()  # the bytes are kept once built
+        assert calls == {"encode": 8, "make_artifact": 8}
+
+    def test_consumed_run_reads_as_an_eager_one(self, small_universe, tmp_path):
+        # A store with a root encodes at put, before any caller saw the
+        # values; equal manifests mean no caller mutated one.
+        lazy = ArtifactStore()
+        consume(make_pipeline(small_universe, store=lazy).run())
+        eager = ArtifactStore(root=tmp_path / "cache")
+        consume(make_pipeline(small_universe, store=eager).run())
+        assert lazy.manifest() == eager.manifest()
+
+    def test_warm_run_decodes_the_cold_values(self, small_universe):
+        store = ArtifactStore()
+        pipeline = make_pipeline(small_universe, store=store)
+        cold = pipeline._make_executor(store).execute()
+        warm = pipeline._make_executor(store).execute()
+        assert {r.source for r in warm.records.values()} == {"memory"}
+        assert set(warm.values) == set(stages_mod.ALL_STAGES)
+        for name, value in cold.values.items():
+            assert exact(warm.values[name]) == exact(value), name
 
 
 # ---------------------------------------------------------------------------
