@@ -652,8 +652,9 @@ class TestMappingCaches:
             if d.org_id == whois.org_id_of(asn)
         }
         assert whois.siblings_of(asn) == expected
-        # members() hands out copies, not the cached lists
+        # members() hands out the cached index, whose member tuples
+        # cannot be changed in place
         members = whois.members()
         org_id = whois.org_id_of(asn)
-        members[org_id].append(-1)
-        assert -1 not in whois.members()[org_id]
+        assert members is whois.members()
+        assert isinstance(members[org_id], tuple)

@@ -66,7 +66,7 @@ class TestDataset:
 
     def test_members_sorted(self):
         members = make_dataset().members()
-        assert members["LVLT-ARIN"] == [3356, 3549]
+        assert members["LVLT-ARIN"] == (3356, 3549)
 
     def test_siblings_of(self):
         assert make_dataset().siblings_of(3356) == {3356, 3549}
