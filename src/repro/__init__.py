@@ -22,34 +22,45 @@ experiment harness (``experiments``), and the observability layer
 (``obs``: metrics registry, span tracing, run manifests).
 """
 
-from .config import (
-    ALL_FEATURES,
-    BorgesConfig,
-    LLMConfig,
-    ScraperConfig,
-    UniverseConfig,
-)
-from .core import BorgesPipeline, BorgesResult, OrgMapping
-from .baselines import build_as2org_mapping, build_as2orgplus_mapping
-from .metrics import org_factor, org_factor_from_mapping
-from .universe import Universe, generate_universe
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_FEATURES",
-    "BorgesConfig",
-    "LLMConfig",
-    "ScraperConfig",
-    "UniverseConfig",
-    "BorgesPipeline",
-    "BorgesResult",
-    "OrgMapping",
-    "build_as2org_mapping",
-    "build_as2orgplus_mapping",
-    "org_factor",
-    "org_factor_from_mapping",
-    "Universe",
-    "generate_universe",
-    "__version__",
-]
+#: Public name → the submodule that defines it.  Each is imported on
+#: first access (PEP 562), so importing this package runs none of
+#: the subpackages until a caller asks for one of these names.
+_EXPORTS = {
+    "ALL_FEATURES": "config",
+    "BorgesConfig": "config",
+    "LLMConfig": "config",
+    "ScraperConfig": "config",
+    "UniverseConfig": "config",
+    "BorgesPipeline": "core",
+    "BorgesResult": "core",
+    "OrgMapping": "core",
+    "build_as2org_mapping": "baselines",
+    "build_as2orgplus_mapping": "baselines",
+    "org_factor": "metrics",
+    "org_factor_from_mapping": "metrics",
+    "Universe": "universe",
+    "generate_universe": "universe",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    # ``__import__`` (``from .module import name``) takes the
+    # interpreter's own import path, which ``-X importtime`` reports;
+    # ``importlib.import_module`` would hide the import from it.
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,9 +12,8 @@ plots the cumulative sum plus least-squares slopes over the top 100,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, List, Sequence, Set
-
-import numpy as np
 
 from ..asrank.rank import ASRank
 from ..core.mapping import OrgMapping
@@ -68,11 +67,17 @@ def transit_marginal_growth(
 
 
 def _fit_slope(series: TransitGrowthSeries, window: int) -> float:
-    """Least-squares slope of cumulative growth over ranks ≤ *window*."""
+    """Least-squares slope of cumulative growth over ranks ≤ *window*.
+
+    The closed form ``(n·Σxy − Σx·Σy) / (n·Σx² − (Σx)²)`` over the
+    integer ranks and counts is computed exactly in integers, so the one
+    division returns the correctly rounded slope.  Ranks are distinct,
+    so the denominator is positive once there are two of them.
+    """
     xs = [r for r in series.ranks if r <= window]
     if len(xs) < 2:
         return 0.0
     ys = series.cumulative_growth[: len(xs)]
-    slope, _intercept = np.polyfit(np.asarray(xs, dtype=float),
-                                   np.asarray(ys, dtype=float), 1)
-    return float(slope)
+    n, sum_x, sum_y = len(xs), sum(xs), sum(ys)
+    numerator = n * sum(map(mul, xs, ys)) - sum_x * sum_y
+    return numerator / (n * sum(map(mul, xs, xs)) - sum_x * sum_x)

@@ -55,9 +55,6 @@ class ASRank:
     def top(self, n: int) -> List[RankEntry]:
         return self._entries[:n]
 
-    def asns_in_rank_order(self) -> List[ASN]:
-        return [e.asn for e in self._entries]
-
     def best_ranked(self, asns) -> Optional[RankEntry]:
         """The best (lowest-rank) entry among *asns*; None if none ranked."""
         best: Optional[RankEntry] = None

@@ -75,13 +75,6 @@ class ASTopology:
             self._peers.setdefault(b, set()).add(a)
             self._link_count += 1
 
-    def add_link(self, link: ASLink) -> None:
-        link.validate()
-        if link.relationship is Relationship.P2C:
-            self.add_p2c(link.a, link.b)
-        else:
-            self.add_p2p(link.a, link.b)
-
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -28,22 +28,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .baselines import build_as2org_mapping, build_as2orgplus_mapping
-from .config import ALL_FEATURES, BorgesConfig, UniverseConfig
-from .core import ALL_STAGES, BorgesPipeline
-from .experiments import EXPERIMENTS, ExperimentContext, run_experiment
-from .metrics import org_factor_from_mapping
-from .obs import (
-    build_manifest,
-    get_event_log,
-    get_registry,
-    get_tracer,
-    setup_logging,
-    write_manifest,
+from .config import (
+    ALL_FEATURES,
+    ALL_STAGES,
+    EXPERIMENT_IDS,
+    BorgesConfig,
+    UniverseConfig,
 )
-from .peeringdb import save_snapshot
-from .universe import generate_universe
-from .whois import save_as2org_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp.add_argument(
         "id",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=sorted(EXPERIMENT_IDS) + ["all"],
         help="experiment id (table3..table9, fig7..fig9, all)",
     )
     exp.add_argument(
@@ -662,6 +653,9 @@ def _universe_config(args: argparse.Namespace) -> UniverseConfig:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .obs import record_peak_rss
+    from .peeringdb import save_snapshot
+    from .universe import generate_universe
+    from .whois import save_as2org_file
 
     out: Path = args.out
     if args.stream:
@@ -774,6 +768,9 @@ def _peak_rss_line(result) -> Optional[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .core import BorgesPipeline
+    from .metrics import org_factor_from_mapping
+    from .universe import generate_universe
     from .web.simweb import SimulatedWeb
 
     config = _borges_config(args)
@@ -864,6 +861,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import EXPERIMENTS, ExperimentContext, run_experiment
+
     context = ExperimentContext.build(_universe_config(args))
     ids = sorted(EXPERIMENTS) if args.id == "all" else [args.id]
     for experiment_id in ids:
@@ -902,6 +901,10 @@ def _print_span_tree(spans, indent: int = 0) -> None:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
+    from .core import BorgesPipeline
+    from .obs import get_registry, get_tracer
+    from .universe import generate_universe
+
     universe = generate_universe(_universe_config(args))
     config = _borges_config(args)
     if args.shards > 1:
@@ -968,7 +971,14 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .baselines import build_chen_mapping
+    from .baselines import (
+        build_as2org_mapping,
+        build_as2orgplus_mapping,
+        build_chen_mapping,
+    )
+    from .core import BorgesPipeline
+    from .metrics import org_factor_from_mapping
+    from .universe import generate_universe
 
     universe = generate_universe(_universe_config(args))
     borges = BorgesPipeline(universe.whois, universe.pdb, universe.web).run().mapping
@@ -991,6 +1001,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_evolution(args: argparse.Namespace) -> int:
     from .longitudinal import build_snapshot_series, run_longitudinal_study
+    from .universe import generate_universe
 
     universe = generate_universe(_universe_config(args))
     series = build_snapshot_series(universe)
@@ -1006,7 +1017,9 @@ def _cmd_evolution(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from .core import BorgesPipeline
     from .core.evidence import MappingExplainer, collect_evidence
+    from .universe import generate_universe
 
     universe = generate_universe(_universe_config(args))
     pipeline = BorgesPipeline(universe.whois, universe.pdb, universe.web)
@@ -1047,7 +1060,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_release(args: argparse.Namespace) -> int:
+    from .core import BorgesPipeline
     from .core.release import save_mapping_as2org
+    from .universe import generate_universe
 
     config = _borges_config(args)
     if args.features is not None:
@@ -1106,6 +1121,7 @@ def _sniff_snapshot_kind(path: Path) -> str:
 
 def _serve_injector(args: argparse.Namespace):
     """A seeded FaultInjector when a chaos profile is in force, else None."""
+    from .obs import get_registry
     from .resilience.faults import FaultInjector, resolve_fault_profile
 
     profile = resolve_fault_profile(getattr(args, "fault_profile", None))
@@ -1116,6 +1132,7 @@ def _serve_injector(args: argparse.Namespace):
 
 def _build_service(args: argparse.Namespace):
     """A QueryService with one generation loaded per the CLI options."""
+    from .obs import get_registry
     from .obs.log import EventLog, set_event_log
     from .obs.slo import ExemplarStore, SLOConfig, SLOTracker
     from .serve import AdmissionController, AdmissionLimits, QueryService
@@ -1178,6 +1195,9 @@ def _build_service(args: argparse.Namespace):
         else:
             snapshot = service.store.load_from_mapping_file(path)
     else:
+        from .core import BorgesPipeline
+        from .universe import generate_universe
+
         universe = generate_universe(_universe_config(args))
         pipeline = BorgesPipeline(
             universe.whois, universe.pdb, universe.web, _borges_config(args)
@@ -1229,6 +1249,7 @@ def _cmd_rollback_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .obs import get_event_log
     from .obs.slo import RuntimeSampler
     from .serve import QueryServer
 
@@ -1416,10 +1437,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     import dataclasses as _dataclasses
 
+    from .core import BorgesPipeline
     from .digest import dataset_digest, stable_digest
     from .metrics.partition import score_partition
+    from .obs import get_registry
     from .serve import QueryServer, QueryService
     from .serve.store import SnapshotStore
+    from .universe import generate_universe
     from .watch import (
         GateThresholds,
         RunJournal,
@@ -1575,11 +1599,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from .obs import setup_logging
+
     args = build_parser().parse_args(argv)
     setup_logging("debug" if args.verbose else "warning")
     _RUN_ARTIFACTS.clear()
     status = _COMMANDS[args.command](args)
     if args.telemetry_out is not None:
+        from .obs import build_manifest, write_manifest
+
         manifest = build_manifest(
             config=_RUN_ARTIFACTS.get("config"),
             result=_RUN_ARTIFACTS.get("result"),

@@ -47,6 +47,45 @@ TABLE_FEATURE_ORDER: Tuple[str, ...] = (
     FEATURE_FAVICONS,
 )
 
+#: Stage names of the pipeline's stage DAG, in canonical definition
+#: order.  They live here, not in :mod:`repro.core.stages`, so that the
+#: CLI can offer them as choices without importing the pipeline.
+STAGE_OID_W = "oid_w"
+STAGE_OID_P = "oid_p"
+STAGE_NER_EXTRACT = "ner_extract"
+STAGE_NOTES_AKA = "notes_aka"
+STAGE_SCRAPE = "scrape"
+STAGE_RR = "rr"
+STAGE_FAVICONS = "favicons"
+STAGE_MERGE = "merge"
+
+ALL_STAGES: Tuple[str, ...] = (
+    STAGE_OID_W,
+    STAGE_OID_P,
+    STAGE_NER_EXTRACT,
+    STAGE_NOTES_AKA,
+    STAGE_SCRAPE,
+    STAGE_RR,
+    STAGE_FAVICONS,
+    STAGE_MERGE,
+)
+
+#: Ids of the paper's tables and figures that ``borges experiment``
+#: regenerates: the keys of :data:`repro.experiments.EXPERIMENTS`, kept
+#: here so that the CLI can offer them without importing the harness.
+EXPERIMENT_IDS: Tuple[str, ...] = (
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "fig7",
+    "fig8",
+    "fig9",
+)
+
 
 @dataclass(frozen=True)
 class LLMConfig:

@@ -6,55 +6,61 @@ matching and favicon classification (§4.3) — consolidated into one
 AS-to-Organization mapping by transitive merging.
 """
 
-from .artifacts import Artifact, ArtifactStore, compute_fingerprint
-from .evidence import Evidence, MappingExplainer, collect_evidence
-from .executor import ExecutionOutcome, StageExecutor, StageRecord
-from .mapping import OrgMapping
-from .merge import UnionFind, merge_clusters, reduce_shard_clusters
-from .org_keys import oid_p_clusters, oid_w_clusters
-from .ner import NERModule, NERRecordResult
-from .partition import PartitionPlan, Shard, partition_universe, validate_partition
-from .stages import ALL_STAGES, StageContext, StageSpec, build_stage_graph
-from .web_inference import WebInferenceModule, WebInferenceResult
-from .pipeline import (
-    BorgesPipeline,
-    BorgesResult,
-    FeatureClusters,
-    ShardedBorgesResult,
-    run_sharded,
-)
+#: Public name → the submodule that defines it.  Each is imported on
+#: first access (PEP 562), so importing this package runs none of
+#: the pipeline, LLM or web code until a caller asks for it.
+_EXPORTS = {
+    "Artifact": "artifacts",
+    "ArtifactStore": "artifacts",
+    "compute_fingerprint": "artifacts",
+    "Evidence": "evidence",
+    "MappingExplainer": "evidence",
+    "collect_evidence": "evidence",
+    "ExecutionOutcome": "executor",
+    "StageExecutor": "executor",
+    "StageRecord": "executor",
+    "OrgMapping": "mapping",
+    "UnionFind": "merge",
+    "merge_clusters": "merge",
+    "reduce_shard_clusters": "merge",
+    "oid_p_clusters": "org_keys",
+    "oid_w_clusters": "org_keys",
+    "PartitionPlan": "partition",
+    "Shard": "partition",
+    "partition_universe": "partition",
+    "validate_partition": "partition",
+    "NERModule": "ner",
+    "NERRecordResult": "ner",
+    "ALL_STAGES": "stages",
+    "StageContext": "stages",
+    "StageSpec": "stages",
+    "build_stage_graph": "stages",
+    "WebInferenceModule": "web_inference",
+    "WebInferenceResult": "web_inference",
+    "BorgesPipeline": "pipeline",
+    "BorgesResult": "pipeline",
+    "FeatureClusters": "pipeline",
+    "ShardedBorgesResult": "pipeline",
+    "run_sharded": "pipeline",
+}
 
-__all__ = [
-    "Artifact",
-    "ArtifactStore",
-    "compute_fingerprint",
-    "Evidence",
-    "MappingExplainer",
-    "collect_evidence",
-    "ExecutionOutcome",
-    "StageExecutor",
-    "StageRecord",
-    "OrgMapping",
-    "UnionFind",
-    "merge_clusters",
-    "reduce_shard_clusters",
-    "oid_p_clusters",
-    "oid_w_clusters",
-    "PartitionPlan",
-    "Shard",
-    "partition_universe",
-    "validate_partition",
-    "NERModule",
-    "NERRecordResult",
-    "ALL_STAGES",
-    "StageContext",
-    "StageSpec",
-    "build_stage_graph",
-    "WebInferenceModule",
-    "WebInferenceResult",
-    "BorgesPipeline",
-    "BorgesResult",
-    "FeatureClusters",
-    "ShardedBorgesResult",
-    "run_sharded",
-]
+__all__ = [*_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    # ``__import__`` (``from .module import name``) takes the
+    # interpreter's own import path, which ``-X importtime`` reports;
+    # ``importlib.import_module`` would hide the import from it.
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -21,6 +21,11 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..config import (
+    STAGE_FAVICONS,
+    STAGE_MERGE,
+    STAGE_NER_EXTRACT,
+    STAGE_RR,
+    STAGE_SCRAPE,
     TABLE_FEATURE_ORDER,
     BorgesConfig,
     ExecutorConfig,
@@ -55,11 +60,6 @@ from .merge import merge_clusters, reduce_shard_clusters
 from .ner import NERModule, NERRecordResult
 from .partition import PartitionPlan, partition_universe
 from .stages import (
-    STAGE_FAVICONS,
-    STAGE_MERGE,
-    STAGE_NER_EXTRACT,
-    STAGE_RR,
-    STAGE_SCRAPE,
     StageContext,
     build_stage_graph,
     stage_clusters,

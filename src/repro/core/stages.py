@@ -45,11 +45,20 @@ except ImportError:  # pragma: no cover
     OrderedDict = dict  # type: ignore[assignment,misc]
 
 from ..config import (
+    ALL_STAGES,
     FEATURE_FAVICONS,
     FEATURE_NOTES_AKA,
     FEATURE_OID_P,
     FEATURE_OID_W,
     FEATURE_RR,
+    STAGE_FAVICONS,
+    STAGE_MERGE,
+    STAGE_NER_EXTRACT,
+    STAGE_NOTES_AKA,
+    STAGE_OID_P,
+    STAGE_OID_W,
+    STAGE_RR,
+    STAGE_SCRAPE,
     BorgesConfig,
 )
 from ..errors import ConfigError
@@ -60,27 +69,6 @@ from .mapping import OrgMapping
 from .ner import NERRecordResult
 from .org_keys import oid_p_clusters, oid_w_clusters
 from .web_inference import FaviconDecision, WebInferenceStats
-
-#: Stage names, in canonical definition order.
-STAGE_OID_W = "oid_w"
-STAGE_OID_P = "oid_p"
-STAGE_NER_EXTRACT = "ner_extract"
-STAGE_NOTES_AKA = "notes_aka"
-STAGE_SCRAPE = "scrape"
-STAGE_RR = "rr"
-STAGE_FAVICONS = "favicons"
-STAGE_MERGE = "merge"
-
-ALL_STAGES: Tuple[str, ...] = (
-    STAGE_OID_W,
-    STAGE_OID_P,
-    STAGE_NER_EXTRACT,
-    STAGE_NOTES_AKA,
-    STAGE_SCRAPE,
-    STAGE_RR,
-    STAGE_FAVICONS,
-    STAGE_MERGE,
-)
 
 
 @dataclass

@@ -221,18 +221,6 @@ class DiskPressureError(ArchiveError):
         self.floor_bytes = floor_bytes
 
 
-class RestartBudgetExceededError(WatchError):
-    """The watch supervisor exhausted its crash-restart budget."""
-
-    def __init__(self, restarts: int, window_seconds: float) -> None:
-        super().__init__(
-            f"watch restart budget exhausted: {restarts} pipeline crashes "
-            f"within {window_seconds:.0f}s"
-        )
-        self.restarts = restarts
-        self.window_seconds = window_seconds
-
-
 class LLMError(ReproError):
     """Base class for LLM client/back-end failures."""
 
@@ -320,10 +308,6 @@ class CircuitOpenError(ReproError):
     def __init__(self, name: str) -> None:
         super().__init__(f"circuit {name!r} is open; failing fast")
         self.name = name
-
-
-class PipelineError(ReproError):
-    """A Borges pipeline stage failed."""
 
 
 class ExperimentError(ReproError):

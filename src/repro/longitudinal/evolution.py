@@ -330,11 +330,6 @@ class EvolutionReport:
             [r.theta for r in self.results],
         )
 
-    def org_count_series(self) -> Tuple[List[int], List[int]]:
-        return (
-            [r.year for r in self.results],
-            [r.org_count for r in self.results],
-        )
 
 
 def detect_merges(

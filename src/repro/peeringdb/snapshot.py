@@ -95,9 +95,6 @@ class PDBSnapshot:
             raise SnapshotError(f"AS{asn} not in snapshot") from None
         return self.orgs[net.org_id]
 
-    def nets_of_org(self, org_id: PdbOrgID) -> List[Network]:
-        return [n for n in self.networks() if n.org_id == org_id]
-
     def org_members(self) -> Dict[PdbOrgID, List[ASN]]:
         """org_id → sorted list of member ASNs (the OID_P clustering)."""
         members: Dict[PdbOrgID, List[ASN]] = {}

@@ -43,53 +43,59 @@ carries ``x-borges-trace-id``, request outcomes feed the
 points.
 """
 
-from .admission import AdmissionController, AdmissionLimits
-from .diff import GenerationDiff, diff_indexes
-from .index import AsnRecord, MappingIndex, OrgRecord, org_handle, tokenize
-from .loadgen import (
-    RESPONSE_CLASSES,
-    HttpConnectionPool,
-    LoadGenerator,
-    LoadReport,
-    ZipfianSampler,
-    percentile,
-    run_pipelined,
-)
-from .service import ENDPOINTS, QueryService
-from .store import Snapshot, SnapshotStore
-from .httpd import MAX_BATCH_ASNS, MAX_CONTENT_LENGTH, QueryServer
-from .top import PoolTopView, TopView, run_top
-from .shm.pool import WorkerConfig, WorkerPool
-from .shm.segment import map_blob_file
+#: Public name → the submodule that defines it.  Each is imported on
+#: first access (PEP 562), so importing this package runs none of
+#: the load generator, dashboard or worker pool until a caller asks
+#: for it.
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "AdmissionLimits": "admission",
+    "AsnRecord": "index",
+    "GenerationDiff": "diff",
+    "diff_indexes": "diff",
+    "MappingIndex": "index",
+    "OrgRecord": "index",
+    "org_handle": "index",
+    "tokenize": "index",
+    "LoadGenerator": "loadgen",
+    "LoadReport": "loadgen",
+    "RESPONSE_CLASSES": "loadgen",
+    "ZipfianSampler": "loadgen",
+    "percentile": "loadgen",
+    "PoolTopView": "top",
+    "TopView": "top",
+    "run_top": "top",
+    "ENDPOINTS": "service",
+    "QueryService": "service",
+    "Snapshot": "store",
+    "SnapshotStore": "store",
+    "MAX_BATCH_ASNS": "httpd",
+    "MAX_CONTENT_LENGTH": "httpd",
+    "QueryServer": "httpd",
+    "HttpConnectionPool": "loadgen",
+    "WorkerConfig": "shm.pool",
+    "WorkerPool": "shm.pool",
+    "map_blob_file": "shm.segment",
+    "run_pipelined": "loadgen",
+}
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionLimits",
-    "AsnRecord",
-    "GenerationDiff",
-    "diff_indexes",
-    "MappingIndex",
-    "OrgRecord",
-    "org_handle",
-    "tokenize",
-    "LoadGenerator",
-    "LoadReport",
-    "RESPONSE_CLASSES",
-    "ZipfianSampler",
-    "percentile",
-    "PoolTopView",
-    "TopView",
-    "run_top",
-    "ENDPOINTS",
-    "QueryService",
-    "Snapshot",
-    "SnapshotStore",
-    "MAX_BATCH_ASNS",
-    "MAX_CONTENT_LENGTH",
-    "QueryServer",
-    "HttpConnectionPool",
-    "WorkerConfig",
-    "WorkerPool",
-    "map_blob_file",
-    "run_pipelined",
-]
+__all__ = [*_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    # ``__import__`` (``from .module import name``) takes the
+    # interpreter's own import path, which ``-X importtime`` reports;
+    # ``importlib.import_module`` would hide the import from it.
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

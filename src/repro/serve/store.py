@@ -386,7 +386,7 @@ class SnapshotStore:
         headerless files (CAIDA's own) skip straight to schema checks.
         """
         from ..whois.as2org_file import (
-            load_as2org_text,
+            load_as2org_lines,
             parse_release_header,
             read_as2org_file_text,
             record_lines,
@@ -395,13 +395,18 @@ class SnapshotStore:
         from ..errors import SnapshotError
 
         path = Path(path)
-        text = self._chaos_corrupt(read_as2org_file_text(path), path.name)
+        # The text is split once; the header check, the digest and the
+        # parse all read these lines, and they are dropped before the
+        # index is built.
+        lines = self._chaos_corrupt(
+            read_as2org_file_text(path), path.name
+        ).splitlines()
         try:
-            header = parse_release_header(text)
+            header = parse_release_header(lines)
         except SnapshotError as exc:
             raise self._integrity_failure("release-file", str(exc), path) from exc
         if header is not None:
-            actual = release_digest(record_lines(text))
+            actual = release_digest(record_lines(lines))
             expected = str(header.get("digest", ""))
             if actual != expected:
                 raise self._integrity_failure(
@@ -412,9 +417,10 @@ class SnapshotStore:
                     actual_digest=actual,
                 )
         try:
-            whois = load_as2org_text(text, origin=str(path))
+            whois = load_as2org_lines(lines, origin=str(path))
         except (SnapshotError, DataError, ValueError) as exc:
             raise self._integrity_failure("release-file", str(exc), path) from exc
+        del lines
         if not whois.asns():
             raise self._integrity_failure(
                 "release-file", "release file contains no ASN records", path

@@ -77,11 +77,6 @@ class FaviconAPI:
             return None
         return FaviconRecord(url=site_url, content=content)
 
-    def fetch_many(
-        self, site_urls: Iterable[URL]
-    ) -> Dict[URL, Optional[FaviconRecord]]:
-        return {url: self.fetch(url) for url in site_urls}
-
     def group_by_favicon(
         self, site_urls: Iterable[URL]
     ) -> Dict[FaviconHash, Tuple[URL, ...]]:

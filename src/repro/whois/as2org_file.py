@@ -24,11 +24,12 @@ no header and skip verification.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from ..digest import stable_digest
 from ..errors import SchemaError, SnapshotError
 from .dataset import WhoisDataset
 from .models import ASNDelegation, WhoisOrg
@@ -40,9 +41,21 @@ RELEASE_HEADER_PREFIX = "# borges-release "
 RELEASE_HEADER_SCHEMA = 1
 
 
-def release_digest(record_lines: Sequence[str]) -> str:
-    """Content digest over a release's record lines (order-sensitive)."""
-    return stable_digest(list(record_lines))
+def release_digest(record_lines: Iterable[str]) -> str:
+    """Content digest over a release's record lines (order-sensitive).
+
+    The digest is :func:`~repro.digest.stable_digest` of the lines as a
+    list: SHA-256 over ``"[" + ",".join(encode_basestring_ascii(line))
+    + "]"``, the canonical JSON of a list of strings.  It is hashed line
+    by line, so neither that text nor the list is ever built.
+    """
+    sha = hashlib.sha256(b"[")
+    separator = b""
+    for line in record_lines:
+        sha.update(separator + encode_basestring_ascii(line).encode("ascii"))
+        separator = b","
+    sha.update(b"]")
+    return sha.hexdigest()
 
 
 def _read_text(path: Path) -> str:
@@ -55,14 +68,15 @@ def _read_text(path: Path) -> str:
         raise SnapshotError(f"cannot read as2org file {path}: {exc}") from exc
 
 
-def parse_release_header(text: str) -> Optional[Dict[str, object]]:
-    """The integrity header of *text*, or ``None`` when there isn't one.
+def parse_release_header(lines: Iterable[str]) -> Optional[Dict[str, object]]:
+    """The integrity header among a file's *lines*, or ``None`` when
+    there isn't one (it must come before the first record).
 
     A malformed header (truncated JSON, wrong schema) raises
     :class:`SnapshotError` — a file claiming to carry a digest but
     failing to parse one is corruption, not absence.
     """
-    for line in text.splitlines():
+    for line in lines:
         stripped = line.strip()
         if not stripped:
             continue
@@ -84,13 +98,12 @@ def parse_release_header(text: str) -> Optional[Dict[str, object]]:
     return None
 
 
-def record_lines(text: str) -> List[str]:
-    """The non-comment, non-blank lines digests are computed over."""
-    return [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+def record_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The non-comment, non-blank *lines*, stripped: what digests are
+    computed over."""
+    return (
+        line for line in map(str.strip, lines) if line and not line.startswith("#")
+    )
 
 
 def save_as2org_file(dataset: WhoisDataset, path: Union[str, Path]) -> None:
@@ -127,9 +140,17 @@ def save_as2org_file(dataset: WhoisDataset, path: Union[str, Path]) -> None:
 
 def load_as2org_text(text: str, origin: str = "<string>") -> WhoisDataset:
     """Parse as2org JSON-lines *text* into a :class:`WhoisDataset`."""
+    return load_as2org_lines(text.splitlines(), origin)
+
+
+def load_as2org_lines(
+    lines: Iterable[str], origin: str = "<string>"
+) -> WhoisDataset:
+    """Parse the *lines* of an as2org file into a :class:`WhoisDataset`;
+    errors name the line by its number in *lines*."""
     orgs: List[WhoisOrg] = []
     delegations: List[ASNDelegation] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

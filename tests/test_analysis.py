@@ -1,5 +1,10 @@
 """Unit/integration tests for the analysis modules (Tables 3–9, Figs 7–9)."""
 
+from fractions import Fraction
+from itertools import accumulate
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import (
     feature_contribution_table,
@@ -14,6 +19,7 @@ from repro.analysis import (
     validate_extraction,
 )
 from repro.analysis.access import changed_orgs
+from repro.analysis.transit import TransitGrowthSeries, _fit_slope
 from repro.analysis.validation import score_extraction_record
 from repro.core.ner import NERRecordResult
 from repro.web.favicon import FaviconAPI
@@ -149,6 +155,37 @@ class TestTransitAnalysis:
             borges_mapping, as2org_mapping, universe.asrank
         )
         assert set(series.slopes) == {100, 1_000, 10_000}
+        for window, slope in series.slopes.items():
+            assert slope == _exact_slope(series, window)
+
+
+def _exact_slope(series, window):
+    """The least-squares slope in exact rational arithmetic, from the
+    centred form Σ(x−x̄)(y−ȳ) / Σ(x−x̄)², rounded once at the end."""
+    xs = [Fraction(r) for r in series.ranks if r <= window]
+    if len(xs) < 2:
+        return 0.0
+    ys = [Fraction(y) for y in series.cumulative_growth[: len(xs)]]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    covariance = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return float(covariance / sum((x - mean_x) ** 2 for x in xs))
+
+
+@given(
+    rank_gaps=st.lists(st.integers(1, 5000), max_size=60),
+    growth=st.lists(st.integers(0, 10**6), max_size=60),
+    window=st.integers(1, 10**5),
+)
+def test_fit_slope_is_the_exact_least_squares_slope(rank_gaps, growth, window):
+    """``_fit_slope`` equals the exact slope correctly rounded, for
+    distinct ascending ranks and non-decreasing cumulative growth."""
+    n = min(len(rank_gaps), len(growth))
+    series = TransitGrowthSeries(
+        ranks=list(accumulate(rank_gaps[:n])),
+        marginal_growth=growth[:n],
+        cumulative_growth=list(accumulate(growth[:n])),
+    )
+    assert _fit_slope(series, window) == _exact_slope(series, window)
 
 
 class TestHypergiantAnalysis:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import TEST_UNIVERSE
+from repro.config import EXPERIMENT_IDS, TEST_UNIVERSE
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -59,6 +59,11 @@ class TestExperimentRegistry:
             "table3", "table4", "table5", "table6", "table7",
             "table8", "table9", "fig7", "fig8", "fig9",
         }
+
+    def test_cli_choices_are_the_registry(self):
+        """The parser offers :data:`EXPERIMENT_IDS` so as not to import
+        the harness; they must be the registry's ids, in its order."""
+        assert list(EXPERIMENT_IDS) == list(EXPERIMENTS)
 
     def test_unknown_experiment_raises(self, context):
         with pytest.raises(ExperimentError):

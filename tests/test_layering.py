@@ -6,11 +6,17 @@ functions, which is where upward imports used to hide — is resolved to
 the top-level package it targets.  A package may import from its own
 rank or any rank below, never above.  There is no allow-list: moving a
 module or inverting a dependency is the fix for a failure here.
+
+A package façade that binds its public names lazily lists them in an
+``_EXPORTS`` table (name → submodule, imported on first access as
+``from .submodule import name``); each entry is read as that import
+statement, so a re-export cannot hide an upward import.
 """
 
 from __future__ import annotations
 
 import ast
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -53,6 +59,23 @@ def _targets(node: ast.AST, package):
     return [base]
 
 
+def _lazy_exports(tree: ast.Module):
+    """``from .module import name`` for each ``name: module`` entry of a
+    module-level ``_EXPORTS`` table."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS"
+            for target in node.targets
+        ):
+            for key, value in zip(node.value.keys, node.value.values):
+                yield ast.ImportFrom(
+                    module=ast.literal_eval(value),
+                    names=[ast.alias(name=ast.literal_eval(key))],
+                    level=1,
+                    lineno=value.lineno,
+                )
+
+
 def _top_level_module(name: str) -> bool:
     return (SRC / name).is_dir() or (SRC / f"{name}.py").is_file()
 
@@ -66,7 +89,7 @@ def _edges():
         parts = path.relative_to(SRC).with_suffix("").parts
         package = ["repro", *parts[:-1]]
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
+        for node in chain(ast.walk(tree), _lazy_exports(tree)):
             for target in _targets(node, package):
                 names = target.split(".")
                 if (
@@ -114,3 +137,23 @@ def test_function_local_imports_are_resolved(source, target):
         n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
     ]
     assert _targets(node, ["repro", "core"]) == [target]
+
+
+def test_lazy_export_tables_are_import_edges():
+    """An ``_EXPORTS`` entry resolves like ``from .module import name``
+    (here as if written in ``repro/serve/__init__.py``)."""
+    tree = ast.parse('_EXPORTS = {"WorkerPool": "shm.pool", "Thing": "top"}')
+    targets = [
+        t for node in _lazy_exports(tree) for t in _targets(node, ["repro", "serve"])
+    ]
+    assert targets == ["repro.serve.shm.pool", "repro.serve.top"]
+
+
+@pytest.mark.parametrize("facade", ["__init__.py", "core/__init__.py", "serve/__init__.py"])
+def test_every_lazy_export_is_an_edge(facade):
+    """Each façade's table yields one edge per public name it re-exports."""
+    path = SRC / facade
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exported = [node.names[0].name for node in _lazy_exports(tree)]
+    edges = [edge for edge in _edges() if edge[0] == path.relative_to(SRC)]
+    assert exported and len(edges) == len(exported)

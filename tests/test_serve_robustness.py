@@ -318,9 +318,10 @@ class TestReleaseFileIntegrity:
         path = self._released(borges_mapping, universe.whois, tmp_path)
         text = path.read_text()
         assert text.startswith(RELEASE_HEADER_PREFIX)
-        header = parse_release_header(text)
+        lines = text.splitlines()
+        header = parse_release_header(lines)
         assert header["schema"] == 1
-        assert header["digest"] == release_digest(record_lines(text))
+        assert header["digest"] == release_digest(record_lines(lines))
 
     def test_tampered_release_fails_closed(
         self, loaded_store, borges_mapping, universe, tmp_path
