@@ -3,6 +3,7 @@
 
 Default mode boots the HTTP query server on an ephemeral port over a
 small universe, hits every endpoint (including the 400/404 contracts),
+checks that a cache hit sends the same bytes as the miss before it,
 performs a hot snapshot swap from a freshly-written release file while
 background readers are active, asserts zero failed requests, and shuts
 the server down cleanly.  Exits non-zero on the first violated
@@ -10,9 +11,9 @@ expectation.
 
 ``--chaos corrupt-snapshot`` replays the swap with a fault injector
 that corrupts every snapshot file read: the swap must fail closed (old
-generation keeps serving, zero 5xx), the input file must be
-quarantined, and ``POST /v1/admin/rollback`` must restore the
-last-known-good generation.
+generation keeps serving, zero 5xx, and cached and fresh answers alike
+say ``stale``), the input file must be quarantined, and
+``POST /v1/admin/rollback`` must restore the last-known-good generation.
 
 ``--chaos thundering-herd`` fires synchronized waves of concurrent
 clients at a deliberately tiny admission gate: every response must be
@@ -75,6 +76,11 @@ def fetch(url: str):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def fetch_raw(url: str) -> bytes:
+    with urllib.request.urlopen(url, timeout=10) as response:
+        return response.read()
 
 
 def fetch_traced(url: str, traceparent: str):
@@ -212,6 +218,18 @@ def chaos_corrupt_snapshot() -> int:
         expect(
             code == 200 and body["status"] == "degraded",
             "healthz reports degraded (stale)",
+        )
+        # asns[0] was cached before the failed swap; asking twice makes
+        # the second answer a hit after it.  The last ASN no reader asked
+        # for is a miss.  All three must say stale.
+        fresh = store.current().index.asns()[-1]
+        answers = [
+            fetch(f"{base}/v1/asn/{asn}") for asn in (asns[0], asns[0], fresh)
+        ]
+        expect(
+            all(code == 200 and body.get("stale") is True
+                for code, body in answers),
+            "cached and fresh answers both carry stale after the failed swap",
         )
 
         # A good in-memory generation (chaos only bites file loads),
@@ -360,6 +378,13 @@ def main() -> int:
         expect(code == 200 and body["status"] == "ok", "healthz ok")
         code, body = fetch(f"{base}/v1/asn/{asn}")
         expect(code == 200 and body["asn"] == asn, "asn lookup")
+        last = index.asns()[-1]
+        miss, hit = (fetch_raw(f"{base}/v1/asn/{last}") for _ in range(2))
+        expect(
+            miss == hit
+            and miss == json.dumps(service.lookup_asn(last)).encode("utf-8"),
+            "a cache hit sends the miss's bytes, json.dumps of the answer",
+        )
         expect(fetch(f"{base}/v1/asn/999999999")[0] == 404, "asn 404")
         expect(fetch(f"{base}/v1/asn/banana")[0] == 400, "asn 400")
         code, body = fetch(f"{base}/v1/org/{multi.org_id}")

@@ -1294,7 +1294,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.access_log is not None:
         print(f"access log: {args.access_log}")
     print(f"  watch: borges top --host {args.host} --port {server.port}")
-    print(f"  try: curl {server.url}/v1/asn/{next(iter(service.store.current().index.asns()))}")
+    print(f"  try: curl {server.url}/v1/asn/{service.store.current().index.first_asn()}")
     try:
         server.serve_until_interrupt()
     finally:
@@ -1338,9 +1338,9 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
     )
     print(f"  pool state: {pool.state_dir}")
     print(f"  watch: borges top --pool {pool.state_dir}")
-    asns = service.store.current().index.asns()
-    if asns:
-        print(f"  try: curl {pool.url}/v1/asn/{asns[0]}")
+    asn = service.store.current().index.first_asn()
+    if asn is not None:
+        print(f"  try: curl {pool.url}/v1/asn/{asn}")
     pool.serve_until_interrupt()
     print(f"pool stopped after {pool.respawns} worker respawns")
     return 0

@@ -24,7 +24,9 @@ HTTP/1.1 request loop, exposing the read API as JSON:
 Each request costs one parse and one ``write``.  The loop reads the
 request line and headers itself (no ``email.parser``), and every
 response — status line, headers and body — leaves in a single send.
-With two sends per response, concurrent handler threads convoy on the
+Query answers come from :class:`~repro.serve.service.QueryService` as
+the JSON bodies its response cache holds and are written unchanged, so
+a cache hit is never encoded again.  With two sends per response, concurrent handler threads convoy on the
 GIL: each send releases it and then waits for another handler to hand
 it back.  Framing follows ``http.server``: HTTP/1.1 connections stay
 open unless the client sends ``Connection: close``, HTTP/1.0 ones close
@@ -341,7 +343,17 @@ def _make_handler(service: QueryService):
             payload: dict,
             extra_headers: Optional[Dict[str, str]] = None,
         ) -> None:
-            body = json.dumps(payload).encode("utf-8")
+            self._send_body(
+                code, json.dumps(payload).encode("utf-8"), extra_headers
+            )
+
+        def _send_body(
+            self,
+            code: int,
+            body: bytes,
+            extra_headers: Optional[Dict[str, str]] = None,
+        ) -> None:
+            """Send a JSON *body* as it is (the service's cached bytes)."""
             self._write(code, "application/json", body, extra_headers)
             counter = request_counters.get(code)
             if counter is None:
@@ -575,11 +587,11 @@ def _make_handler(service: QueryService):
                 )
                 return
             try:
-                results = service.batch_lookup(int(a) for a in asns)
+                body = service.batch_lookup_body(int(a) for a in asns)
             except (ValueError, TypeError) as exc:
                 self._send_error(400, f"bad batch request: {exc}")
                 return
-            self._send_json(200, {"results": results})
+            self._send_body(200, body)
 
         def _handle_rollback(self) -> None:
             try:
@@ -595,7 +607,7 @@ def _make_handler(service: QueryService):
                 return
             gen = self._int_param(params, "gen")
             try:
-                self._send_json(200, service.lookup_asn(asn, gen=gen))
+                self._send_body(200, service.lookup_asn_body(asn, gen=gen))
             except UnknownASNError:
                 self._send_error(404, f"unknown ASN {asn}")
             except UnknownGenerationError as exc:
@@ -612,8 +624,8 @@ def _make_handler(service: QueryService):
                 self._send_error(400, "need ?from=&to= generation numbers")
                 return
             try:
-                self._send_json(
-                    200, service.generation_diff(from_gen, to_gen)
+                self._send_body(
+                    200, service.generation_diff_body(from_gen, to_gen)
                 )
             except UnknownGenerationError as exc:
                 self._send_error(404, str(exc))
@@ -632,7 +644,7 @@ def _make_handler(service: QueryService):
                 self._send_error(400, "missing organization id")
                 return
             try:
-                self._send_json(200, service.lookup_org(org_id))
+                self._send_body(200, service.lookup_org_body(org_id))
             except UnknownOrgError:
                 self._send_error(404, f"unknown organization {org_id!r}")
 
@@ -642,9 +654,9 @@ def _make_handler(service: QueryService):
             asn = self._int_param(params, "asn")
             try:
                 if asn is not None:
-                    self._send_json(200, service.siblings(asn))
+                    self._send_body(200, service.siblings_body(asn))
                 elif a is not None and b is not None:
-                    self._send_json(200, service.siblings(a, b))
+                    self._send_body(200, service.siblings_body(a, b))
                 else:
                     self._send_error(400, "need ?a=&b= or ?asn=")
             except UnknownASNError as exc:
@@ -663,8 +675,11 @@ def _make_handler(service: QueryService):
                     f"got {limit}",
                 )
                 return
-            self._send_json(
-                200, service.search(query, limit=10 if limit is None else limit)
+            self._send_body(
+                200,
+                service.search_body(
+                    query, limit=10 if limit is None else limit
+                ),
             )
 
         def _handle_health(self) -> None:

@@ -1,13 +1,14 @@
 """The immutable read-side index: one compiled blob per mapping.
 
 A :class:`MappingIndex` is the serve-layer counterpart of the write-side
-pipeline output.  :meth:`MappingIndex.build` lowers an
-:class:`OrgMapping` in one pass into the flat snapshot blob that
-:mod:`repro.serve.shm.blob` lays out: every cluster becomes one org row
-with a stable ``BORGES-{lowest ASN}`` handle (the same handle scheme
-:mod:`repro.core.release` publishes), every ASN resolves through a
-linear-probing slot table, and a sorted token table answers free-text
-search.  The index then reads that buffer in place — the same class
+pipeline output.  :meth:`MappingIndex.compile` lays out org rows in one
+pass into the flat snapshot blob that :mod:`repro.serve.shm.blob`
+describes; :meth:`MappingIndex.build` feeds it an :class:`OrgMapping`,
+and a release file's load feeds it the rows grouped from its records.
+Every cluster becomes one org row with a stable ``BORGES-{lowest ASN}``
+handle (the same handle scheme :mod:`repro.core.release` publishes),
+every ASN resolves through a linear-probing slot table, and a sorted
+token table answers free-text search.  The index then reads that buffer in place — the same class
 serves a freshly built mapping, a blob file, or a worker's ``mmap`` of
 a shared-memory segment — and hands back lazy ``__slots__`` record
 views that decode strings and member spans only when accessed.
@@ -21,7 +22,16 @@ from __future__ import annotations
 
 import re
 import struct
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.mapping import OrgMapping
 from ..digest import stable_digest
@@ -54,6 +64,10 @@ _STOPWORDS = frozenset(
 )
 
 _U64 = struct.Struct("<Q")
+
+#: One organization row for :meth:`MappingIndex.compile`: sorted member
+#: ASNs, org name, country, and one (registry name, website) per member.
+OrgRow = Tuple[Sequence[ASN], str, str, Iterable[Tuple[str, str]]]
 
 
 def tokenize(text: str) -> List[str]:
@@ -214,6 +228,53 @@ class MappingIndex:
         Raises :class:`~repro.serve.shm.blob.BlobFormatError` for an ASN
         the slot table cannot store (negative, or ≥ ``EMPTY_KEY``).
         """
+        delegations = whois.delegations if whois is not None else {}
+        nets = pdb.nets if pdb is not None else {}
+
+        def registry_names(asn: ASN) -> Tuple[str, str]:
+            name = ""
+            website = ""
+            delegation = delegations.get(asn)
+            if delegation is not None:
+                name = delegation.name
+            net = nets.get(asn)
+            if net is not None:
+                website = net.website
+                name = name or net.name
+            return name, website
+
+        def rows() -> Iterator[OrgRow]:
+            for cluster in mapping.clusters():
+                members = sorted(cluster)
+                representative = members[0]
+                country = ""
+                if representative in delegations:
+                    country = whois.org_of(representative).country
+                yield (
+                    members,
+                    mapping.org_name_of(representative),
+                    country,
+                    map(registry_names, members),
+                )
+
+        return cls.compile(mapping.method, mapping.universe_size, rows())
+
+    @classmethod
+    def compile(
+        cls, method: str, asn_count: int, rows: Iterable[OrgRow]
+    ) -> "MappingIndex":
+        """Lay out *rows*, one per organization, as an index blob.
+
+        The one compiler behind every generation: :meth:`build` feeds it
+        the clusters of an :class:`OrgMapping`, and a release file's load
+        feeds it rows grouped from its records
+        (:meth:`~repro.whois.as2org_file.ReleaseRecords.org_rows`).  A
+        row is ``(members, org name, country, names)``: the org's
+        members in ascending order, and one (registry name, website)
+        pair per member.  Rows are read once, in order; org row numbers
+        follow it.  *asn_count* is the members' total, which sizes the
+        slot table.
+        """
         arena = bytearray()
         interned: Dict[str, Tuple[int, int]] = {}
 
@@ -225,51 +286,38 @@ class MappingIndex:
                 arena.extend(data)
             return got
 
-        method_ref = ref(mapping.method)
-        delegations = whois.delegations if whois is not None else {}
-        nets = pdb.nets if pdb is not None else {}
-        clusters = [sorted(cluster) for cluster in mapping.clusters()]
-        asn_count = sum(map(len, clusters))
+        method_ref = ref(method)
         slot_count = slot_count_for(asn_count)
         mask = slot_count - 1
         slots = bytearray(EMPTY_SLOT * slot_count)
         taken = bytearray(slot_count)
-        orgs = bytearray(len(clusters) * ORG_SIZE)
+        orgs = bytearray()
+        clusters: List[Sequence[ASN]] = []
         postings: Dict[str, List[int]] = {}
         member_cursor = 0
-        for row, members in enumerate(clusters):
+        for row, (members, org_name, country, names) in enumerate(rows):
             representative = members[0]
             if representative < 0 or members[-1] >= EMPTY_KEY:
                 raise BlobFormatError(
                     f"cluster of AS{representative} holds an ASN outside "
                     "the storable range [0, 2^64 - 1)"
                 )
-            country = ""
-            if representative in delegations:
-                country = whois.org_of(representative).country
-            org_name = mapping.org_name_of(representative)
-            _ORG.pack_into(
-                orgs,
-                row * ORG_SIZE,
+            if member_cursor + len(members) > asn_count:
+                raise BlobFormatError(
+                    f"rows hold more than the {asn_count} ASNs announced"
+                )
+            orgs += _ORG.pack(
                 *ref(org_name),
                 *ref(country),
                 member_cursor,
                 len(members),
                 representative,
             )
+            clusters.append(members)
             member_cursor += len(members)
             for token in set(tokenize(org_name)):
                 postings.setdefault(token, []).append(row)
-            for asn in members:
-                name = ""
-                website = ""
-                delegation = delegations.get(asn)
-                if delegation is not None:
-                    name = delegation.name
-                net = nets.get(asn)
-                if net is not None:
-                    website = net.website
-                    name = name or net.name
+            for asn, (name, website) in zip(members, names):
                 slot = mix64(asn) & mask
                 while taken[slot]:
                     slot = (slot + 1) & mask
@@ -282,6 +330,10 @@ class MappingIndex:
                     *ref(website),
                     row,
                 )
+        if member_cursor != asn_count:
+            raise BlobFormatError(
+                f"rows hold {member_cursor} ASNs, {asn_count} announced"
+            )
 
         tokens = bytearray(len(postings) * TOKEN_SIZE)
         postings_flat: List[int] = []
@@ -297,9 +349,7 @@ class MappingIndex:
             postings_flat.extend(orgs_of_token)
 
         members_flat = [asn for members in clusters for asn in members]
-        digest = stable_digest(
-            {"method": mapping.method, "clusters": clusters}
-        )
+        digest = stable_digest({"method": method, "clusters": clusters})
         blob = assemble_blob(
             digest,
             method_ref,
@@ -377,6 +427,13 @@ class MappingIndex:
                 f"<{self.header.asn_count}Q", self._buf, self._asns_off
             )
         )
+
+    def first_asn(self) -> Optional[ASN]:
+        """The lowest ASN, ``asns()[0]``, without unpacking the table
+        (``None`` for an empty index)."""
+        if not self.header.asn_count:
+            return None
+        return _U64.unpack_from(self._buf, self._asns_off)[0]
 
     def lookup_asn(self, asn: ASN) -> AsnRecord:
         slot = self._find_slot(asn)

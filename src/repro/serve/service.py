@@ -4,9 +4,12 @@
 (``borges query``) and the load generator all share.  Per-endpoint
 latency histograms use lookup-scale (sub-millisecond) buckets; metric
 children are resolved once at construction so the per-request cost is a
-dict hit, not a registry lock.  Responses are cached in a small LRU keyed
-by ``(generation, endpoint, args)`` — a hot-swap changes the generation
-and thereby invalidates the whole cache without any explicit flush.
+dict hit, not a registry lock.  Responses are cached in a small LRU as
+the UTF-8 JSON bodies the HTTP layer sends, keyed by ``(generation,
+stale, endpoint, args)`` — a hot-swap changes the generation and a
+failed swap the stale flag, and either one thereby invalidates the
+whole cache without any explicit flush.  The dict API decodes a body,
+so in-process callers get a fresh dict per call.
 
 When an :class:`~repro.serve.admission.AdmissionController` is attached,
 every endpoint passes through it before touching the snapshot: saturated
@@ -22,10 +25,19 @@ admission slot*, which is exactly how slow clients starve real servers.
 
 from __future__ import annotations
 
+import json
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from typing import ContextManager, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..errors import (
     DeadlineExceededError,
@@ -41,7 +53,7 @@ from ..obs.slo import ExemplarStore, SLOTracker
 from ..types import ASN
 from .admission import AdmissionController
 from .diff import diff_indexes
-from .store import SnapshotStore
+from .store import Snapshot, SnapshotStore
 
 #: The endpoints the service meters; the HTTP layer maps routes onto them.
 ENDPOINTS = ("asn", "org", "siblings", "search", "batch", "diff")
@@ -54,18 +66,23 @@ STATUSES = ("ok", "not_found", "unavailable", "shed", "deadline")
 _NULL_GATE: ContextManager[None] = nullcontext()
 
 
+def _encode(response: dict) -> bytes:
+    """The UTF-8 JSON body of *response* (``json.dumps`` defaults)."""
+    return json.dumps(response).encode("utf-8")
+
+
 class _ResponseLRU:
-    """Bounded (generation, endpoint, args) → response-dict cache."""
+    """Bounded (generation, stale, endpoint, args) → response-body cache."""
 
     __slots__ = ("_entries", "_max_entries", "hits", "misses")
 
     def __init__(self, max_entries: int) -> None:
-        self._entries: "OrderedDict[tuple, dict]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, bytes]" = OrderedDict()
         self._max_entries = max(1, max_entries)
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple) -> Optional[dict]:
+    def get(self, key: tuple) -> Optional[bytes]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -79,7 +96,7 @@ class _ResponseLRU:
         self.hits += 1
         return entry
 
-    def put(self, key: tuple, value: dict) -> None:
+    def put(self, key: tuple, value: bytes) -> None:
         self._entries[key] = value
         if len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
@@ -158,11 +175,22 @@ class QueryService:
             # count against availability.
             self.slo.record(ok=status in ("ok", "not_found"), latency=elapsed)
 
-    def _annotate(self, response: dict, generation: int) -> dict:
+    def _annotate(self, response: dict, generation: int, stale: bool) -> bytes:
+        """*response* stamped with its generation (and ``stale``), encoded."""
         response["generation"] = generation
-        if self.store.stale:
+        if stale:
             response["stale"] = True
-        return response
+        return _encode(response)
+
+    def _cached(self, key: tuple, answer: Callable[[], bytes]) -> bytes:
+        """The body cached under *key*, or *answer*'s, which is cached."""
+        body = self._cache.get(key)
+        if body is not None:
+            self._cache_hits.inc()
+            return body
+        body = answer()
+        self._cache.put(key, body)
+        return body
 
     def _admit(self, endpoint: str) -> ContextManager:
         """Pass the admission gate (and any injected stall) for *endpoint*.
@@ -209,30 +237,35 @@ class QueryService:
         With *gen*, answer from archived generation *gen* instead of the
         active snapshot (time-travel; lazily loaded, LRU-bounded).
         """
+        return json.loads(self.lookup_asn_body(asn, gen=gen))
+
+    def lookup_asn_body(self, asn: ASN, gen: Optional[int] = None) -> bytes:
+        """:meth:`lookup_asn`'s answer as its JSON body."""
         if gen is not None:
             return self._lookup_asn_at(asn, gen)
         started = time.perf_counter()
         with self._admit("asn"):
             try:
                 snapshot = self.store.current()
-                key = (snapshot.generation, "asn", asn)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache_hits.inc()
-                    self._finish("asn", "ok", started)
-                    return cached
                 try:
-                    record = snapshot.index.lookup_asn(asn)
+                    body = self._asn_body(snapshot, self.store.stale, asn)
                 except UnknownASNError:
                     self._finish("asn", "not_found", started)
                     raise
-                response = self._annotate(record.to_json(), snapshot.generation)
-                self._cache.put(key, response)
                 self._finish("asn", "ok", started)
-                return response
+                return body
             except NoSnapshotError:
                 self._finish("asn", "unavailable", started)
                 raise
+
+    def _asn_body(self, snapshot: Snapshot, stale: bool, asn: ASN) -> bytes:
+        generation = snapshot.generation
+        return self._cached(
+            (generation, stale, "asn", asn),
+            lambda: self._annotate(
+                snapshot.index.lookup_asn(asn).to_json(), generation, stale
+            ),
+        )
 
     def batch_lookup(self, asns: Iterable[ASN]) -> List[dict]:
         """Resolve many ASNs against one pinned generation.
@@ -242,6 +275,11 @@ class QueryService:
         "error": "unknown_asn"}`` entries instead of failing the whole
         batch.
         """
+        return json.loads(self.batch_lookup_body(asns))["results"]
+
+    def batch_lookup_body(self, asns: Iterable[ASN]) -> bytes:
+        """``{"results": [...]}`` for :meth:`batch_lookup`, joined from
+        the entries' cached bodies."""
         started = time.perf_counter()
         with self._admit("batch"):
             try:
@@ -249,56 +287,58 @@ class QueryService:
             except NoSnapshotError:
                 self._finish("batch", "unavailable", started)
                 raise
-            out: List[dict] = []
+            stale = self.store.stale
+            bodies: List[bytes] = []
             for asn in asns:
-                key = (snapshot.generation, "asn", asn)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache_hits.inc()
-                    out.append(cached)
-                    continue
                 try:
-                    record = snapshot.index.lookup_asn(asn)
+                    bodies.append(self._asn_body(snapshot, stale, asn))
                 except UnknownASNError:
-                    out.append({"asn": asn, "error": "unknown_asn"})
-                    continue
-                response = self._annotate(record.to_json(), snapshot.generation)
-                self._cache.put(key, response)
-                out.append(response)
-            self._batch_sizes.observe(float(len(out)))
+                    bodies.append(_encode({"asn": asn, "error": "unknown_asn"}))
+            self._batch_sizes.observe(float(len(bodies)))
             self._finish("batch", "ok", started)
-            return out
+            # json.dumps' item separator, so the body is the one
+            # json.dumps({"results": [...]}) writes.
+            return b'{"results": [' + b", ".join(bodies) + b"]}"
 
     def lookup_org(self, org_id: str) -> dict:
+        return json.loads(self.lookup_org_body(org_id))
+
+    def lookup_org_body(self, org_id: str) -> bytes:
+        """:meth:`lookup_org`'s answer as its JSON body."""
         started = time.perf_counter()
         with self._admit("org"):
             try:
                 snapshot = self.store.current()
-                key = (snapshot.generation, "org", org_id)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache_hits.inc()
-                    self._finish("org", "ok", started)
-                    return cached
+                stale = self.store.stale
                 try:
-                    record = snapshot.index.org(org_id)
+                    body = self._cached(
+                        (snapshot.generation, stale, "org", org_id),
+                        lambda: self._annotate(
+                            snapshot.index.org(org_id).to_json(),
+                            snapshot.generation,
+                            stale,
+                        ),
+                    )
                 except UnknownOrgError:
                     self._finish("org", "not_found", started)
                     raise
-                response = self._annotate(record.to_json(), snapshot.generation)
-                self._cache.put(key, response)
                 self._finish("org", "ok", started)
-                return response
+                return body
             except NoSnapshotError:
                 self._finish("org", "unavailable", started)
                 raise
 
     def siblings(self, a: ASN, b: Optional[ASN] = None) -> dict:
         """With *b*: are the two ASNs siblings?  Without: list *a*'s org."""
+        return json.loads(self.siblings_body(a, b))
+
+    def siblings_body(self, a: ASN, b: Optional[ASN] = None) -> bytes:
+        """:meth:`siblings`' answer as its JSON body (not cached)."""
         started = time.perf_counter()
         with self._admit("siblings"):
             try:
                 snapshot = self.store.current()
+                stale = self.store.stale
                 index = snapshot.index
                 if b is None:
                     try:
@@ -306,56 +346,57 @@ class QueryService:
                     except UnknownASNError:
                         self._finish("siblings", "not_found", started)
                         raise
-                    response = self._annotate(
-                        {
-                            "asn": a,
-                            "org_id": record.org.org_id,
-                            "siblings": [
-                                m for m in record.org.members if m != a
-                            ],
-                        },
-                        snapshot.generation,
-                    )
+                    response = {
+                        "asn": a,
+                        "org_id": record.org.org_id,
+                        "siblings": [m for m in record.org.members if m != a],
+                    }
                 else:
-                    response = self._annotate(
-                        {"a": a, "b": b, "siblings": index.are_siblings(a, b)},
-                        snapshot.generation,
-                    )
+                    response = {
+                        "a": a, "b": b, "siblings": index.are_siblings(a, b)
+                    }
+                body = self._annotate(response, snapshot.generation, stale)
                 self._finish("siblings", "ok", started)
-                return response
+                return body
             except NoSnapshotError:
                 self._finish("siblings", "unavailable", started)
                 raise
 
     def search(self, query: str, limit: int = 10) -> dict:
+        return json.loads(self.search_body(query, limit=limit))
+
+    def search_body(self, query: str, limit: int = 10) -> bytes:
+        """:meth:`search`'s answer as its JSON body."""
         started = time.perf_counter()
         with self._admit("search"):
             try:
                 snapshot = self.store.current()
-                key = (snapshot.generation, "search", query, limit)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache_hits.inc()
-                    self._finish("search", "ok", started)
-                    return cached
-                records = snapshot.index.search(query, limit=limit)
-                response = self._annotate(
-                    {
-                        "query": query,
-                        "results": [r.to_json() for r in records],
-                    },
-                    snapshot.generation,
+                stale = self.store.stale
+                body = self._cached(
+                    (snapshot.generation, stale, "search", query, limit),
+                    lambda: self._annotate(
+                        {
+                            "query": query,
+                            "results": [
+                                record.to_json()
+                                for record in snapshot.index.search(
+                                    query, limit=limit
+                                )
+                            ],
+                        },
+                        snapshot.generation,
+                        stale,
+                    ),
                 )
-                self._cache.put(key, response)
                 self._finish("search", "ok", started)
-                return response
+                return body
             except NoSnapshotError:
                 self._finish("search", "unavailable", started)
                 raise
 
     # -- time travel -------------------------------------------------------
 
-    def _lookup_asn_at(self, asn: ASN, gen: int) -> dict:
+    def _lookup_asn_at(self, asn: ASN, gen: int) -> bytes:
         """``/v1/asn?gen=N``: answer from an archived generation.
 
         Archive entries are immutable, so responses cache under the
@@ -365,24 +406,23 @@ class QueryService:
         started = time.perf_counter()
         with self._admit("asn"):
             try:
-                key = ("archive", gen, "asn", asn)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache_hits.inc()
-                    self._finish("asn", "ok", started)
-                    return cached
-                index = self.store.generation_index(gen)
-                try:
-                    record = index.lookup_asn(asn)
-                except UnknownASNError:
-                    self._finish("asn", "not_found", started)
-                    raise
-                response = record.to_json()
-                response["generation"] = gen
-                response["archived"] = True
-                self._cache.put(key, response)
+                body = self._cached(
+                    ("archive", gen, "asn", asn),
+                    lambda: _encode(
+                        {
+                            **self.store.generation_index(gen)
+                            .lookup_asn(asn)
+                            .to_json(),
+                            "generation": gen,
+                            "archived": True,
+                        }
+                    ),
+                )
                 self._finish("asn", "ok", started)
-                return response
+                return body
+            except UnknownASNError:
+                self._finish("asn", "not_found", started)
+                raise
             except (UnknownGenerationError, SnapshotIntegrityError):
                 # Unknown and corrupt-then-quarantined generations are
                 # both "that release is not servable" — a client error,
@@ -399,26 +439,28 @@ class QueryService:
         Both endpoints of the diff come from the immutable archive, so
         the response is cached under the (from, to) pair permanently.
         """
+        return json.loads(self.generation_diff_body(from_gen, to_gen))
+
+    def generation_diff_body(self, from_gen: int, to_gen: int) -> bytes:
+        """:meth:`generation_diff`'s answer as its JSON body."""
         started = time.perf_counter()
         with self._admit("diff"):
             try:
-                key = ("archive-diff", from_gen, to_gen)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache_hits.inc()
-                    self._finish("diff", "ok", started)
-                    return cached
-                old = self.store.generation_index(from_gen)
-                new = self.store.generation_index(to_gen)
-                diff = diff_indexes(old, new)
-                response: Dict[str, object] = {
-                    "from": from_gen,
-                    "to": to_gen,
-                }
-                response.update(diff.to_json())
-                self._cache.put(key, response)
+                body = self._cached(
+                    ("archive-diff", from_gen, to_gen),
+                    lambda: _encode(
+                        {
+                            "from": from_gen,
+                            "to": to_gen,
+                            **diff_indexes(
+                                self.store.generation_index(from_gen),
+                                self.store.generation_index(to_gen),
+                            ).to_json(),
+                        }
+                    ),
+                )
                 self._finish("diff", "ok", started)
-                return response
+                return body
             except (UnknownGenerationError, SnapshotIntegrityError):
                 self._finish("diff", "not_found", started)
                 raise

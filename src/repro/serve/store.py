@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..core.mapping import OrgMapping, verify_mapping_payload
-from ..core.org_keys import oid_w_clusters
 from ..errors import (
     DataError,
     NoSnapshotError,
@@ -385,53 +384,46 @@ class SnapshotStore:
         The digest header ``borges release`` writes is verified first;
         headerless files (CAIDA's own) skip straight to schema checks.
         """
-        from ..whois.as2org_file import (
-            load_as2org_lines,
-            parse_release_header,
-            read_as2org_file_text,
-            record_lines,
-            release_digest,
-        )
         from ..errors import SnapshotError
+        from ..whois.as2org_file import (
+            read_as2org_file_text,
+            scan_release,
+            split_lines,
+        )
 
         path = Path(path)
-        # The text is split once; the header check, the digest and the
-        # parse all read these lines, and they are dropped before the
-        # index is built.
-        lines = self._chaos_corrupt(
-            read_as2org_file_text(path), path.name
-        ).splitlines()
+        text = self._chaos_corrupt(read_as2org_file_text(path), path.name)
+        # One pass over the lines reads the header, the digest and the
+        # records; no list of lines, record objects or mapping is built,
+        # and the rows compile straight into the blob.
         try:
-            header = parse_release_header(lines)
+            release = scan_release(split_lines(text), origin=str(path))
         except SnapshotError as exc:
             raise self._integrity_failure("release-file", str(exc), path) from exc
+        del text
+        header = release.header
         if header is not None:
-            actual = release_digest(record_lines(lines))
             expected = str(header.get("digest", ""))
-            if actual != expected:
+            if release.digest != expected:
                 raise self._integrity_failure(
                     "release-file",
                     "release digest mismatch (truncated or tampered file)",
                     path,
                     expected_digest=expected,
-                    actual_digest=actual,
+                    actual_digest=release.digest,
                 )
         try:
-            whois = load_as2org_lines(lines, origin=str(path))
+            asn_count, rows = release.org_rows()
         except (SnapshotError, DataError, ValueError) as exc:
             raise self._integrity_failure("release-file", str(exc), path) from exc
-        del lines
-        if not whois.asns():
+        # From here only the rows hold the records, so they are freed
+        # once the compile has read them, before the blob is assembled.
+        del release
+        if not asn_count:
             raise self._integrity_failure(
                 "release-file", "release file contains no ASN records", path
             )
-        mapping = OrgMapping(
-            universe=whois.asns(),
-            clusters=oid_w_clusters(whois),
-            method="release",
-            org_names={asn: whois.org_name_of(asn) for asn in whois.asns()},
-        )
-        index = MappingIndex.build(mapping, whois=whois)
+        index = MappingIndex.compile("release", asn_count, rows)
         return self.swap(index, source="release-file", label=str(path))
 
     def load_from_blob_file(self, path: Union[str, Path]) -> Snapshot:

@@ -26,13 +26,24 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..errors import SchemaError, SnapshotError
 from .dataset import WhoisDataset
-from .models import ASNDelegation, WhoisOrg
+from .models import ASNDelegation, WhoisOrg, delegation_fields, org_fields
 
 #: Marks the integrity header comment line of a borges-written release.
 RELEASE_HEADER_PREFIX = "# borges-release "
@@ -143,6 +154,21 @@ def load_as2org_text(text: str, origin: str = "<string>") -> WhoisDataset:
     return load_as2org_lines(text.splitlines(), origin)
 
 
+def _parse_record(line: str, lineno: int, origin: str) -> Tuple[str, tuple]:
+    """``(type, fields)`` of one stripped record *line*: the validated
+    fields of a :class:`WhoisOrg` or an :class:`ASNDelegation`."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(f"{origin}:{lineno}: bad JSON: {exc}") from exc
+    kind = record.get("type")
+    if kind == "Organization":
+        return kind, org_fields(record)
+    if kind == "ASN":
+        return kind, delegation_fields(record)
+    raise SchemaError(f"{origin}:{lineno}: unknown record type {kind!r}")
+
+
 def load_as2org_lines(
     lines: Iterable[str], origin: str = "<string>"
 ) -> WhoisDataset:
@@ -154,18 +180,175 @@ def load_as2org_lines(
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"{origin}:{lineno}: bad JSON: {exc}") from exc
-        kind = record.get("type")
+        kind, fields = _parse_record(line, lineno, origin)
         if kind == "Organization":
-            orgs.append(WhoisOrg.from_json(record))
-        elif kind == "ASN":
-            delegations.append(ASNDelegation.from_json(record))
+            orgs.append(WhoisOrg(*fields))
         else:
-            raise SchemaError(f"{origin}:{lineno}: unknown record type {kind!r}")
+            delegations.append(ASNDelegation(*fields))
     return WhoisDataset.build(orgs, delegations)
+
+
+def split_lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one line at a time, without the list."""
+    start = 0
+    end = text.find("\n")
+    while end >= 0:
+        # The piece keeps its "\n", so a line break just before it (a
+        # "\r", or U+2028) still yields the empty line splitlines() does.
+        yield from text[start:end + 1].splitlines()
+        start = end + 1
+        end = text.find("\n", start)
+    yield from text[start:].splitlines()
+
+
+class ReleaseRecords:
+    """The records of one release file, held as plain values.
+
+    :func:`scan_release` fills it in one pass over the file's lines; the
+    serve tier compiles :meth:`org_rows` straight into its index blob,
+    with no :class:`WhoisDataset` and no record instances.  Every
+    rejection names the same reason :func:`load_as2org_lines` and
+    :meth:`WhoisDataset.build` give for the same file.
+    """
+
+    __slots__ = (
+        "header", "digest", "error", "duplicate_org", "orgs", "delegations"
+    )
+
+    def __init__(self) -> None:
+        #: The integrity header, or ``None`` for a headerless file.
+        self.header: Optional[Dict[str, object]] = None
+        #: :func:`release_digest` of the record lines.
+        self.digest = ""
+        #: The first record that failed to parse.  It is raised by
+        #: :meth:`org_rows`, after the caller has checked the digest, so
+        #: a truncated or tampered file is reported as such.
+        self.error: Optional[Exception] = None
+        #: The first org_id given twice; like :meth:`WhoisDataset.build`,
+        #: it is reported only once every record has parsed.
+        self.duplicate_org: Optional[str] = None
+        #: org_id → (name, country), in file order.
+        self.orgs: Dict[str, Tuple[str, str]] = {}
+        #: (asn, org_id, registry name), in file order.
+        self.delegations: List[Tuple[int, str, str]] = []
+
+    def org_rows(self) -> Tuple[int, Iterator[tuple]]:
+        """``(asn_count, rows)``: one row per organization holding ASNs.
+
+        Rows have the shape :meth:`~repro.serve.index.MappingIndex.compile`
+        reads (sorted members, name, country, and a (registry name, "")
+        pair per member) and come in the order of
+        :meth:`OrgMapping.clusters` over the WHOIS clusters: multi-ASN
+        orgs by size, then lowest ASN; then single ASNs in order.
+        Raises the deferred parse error first, then the checks of
+        :meth:`WhoisDataset.build`, in its order.
+        """
+        if self.error is not None:
+            raise self.error
+        if self.duplicate_org is not None:
+            raise SchemaError(f"duplicate WHOIS org_id {self.duplicate_org}")
+        orgs, delegations = self.orgs, self.delegations
+        seen: Set[int] = set()
+        for asn, org_id, _ in delegations:
+            if asn in seen:
+                raise SchemaError(f"duplicate delegation for AS{asn}")
+            if org_id not in orgs:
+                raise SchemaError(
+                    f"AS{asn} delegated to unknown org {org_id!r}"
+                )
+            seen.add(asn)
+        del seen
+        delegations.sort()  # by ASN, which is unique by now
+        sizes = Counter(org_id for _, org_id, _ in delegations)
+        # Multi-ASN orgs by size, then lowest member; the single-ASN
+        # orgs follow in ASN order, straight from the sorted list.
+        multi: Dict[str, List[Tuple[int, str, str]]] = {}
+        for delegation in delegations:
+            if sizes[delegation[1]] > 1:
+                multi.setdefault(delegation[1], []).append(delegation)
+        groups = sorted(
+            multi.values(), key=lambda group: (-len(group), group[0][0])
+        )
+        del multi
+
+        def row(group: Sequence[Tuple[int, str, str]]) -> tuple:
+            name, country = orgs[group[0][1]]
+            return (
+                tuple(asn for asn, _, _ in group),
+                name,
+                country,
+                ((registry_name, "") for _, _, registry_name in group),
+            )
+
+        def rows() -> Iterator[tuple]:
+            for group in groups:
+                yield row(group)
+            for delegation in delegations:
+                if sizes[delegation[1]] == 1:
+                    yield row((delegation,))
+
+        return len(delegations), rows()
+
+
+def scan_release(lines: Iterable[str], origin: str) -> ReleaseRecords:
+    """Read a release file's *lines* once: its integrity header, the
+    digest of its record lines and its records.
+
+    A malformed header raises :class:`SnapshotError` at once, as
+    :func:`parse_release_header` does; a record that fails to parse is
+    kept on :attr:`ReleaseRecords.error` while the digest reads on.
+    """
+    release = ReleaseRecords()
+    release.digest = release_digest(_read_records(release, lines, origin))
+    return release
+
+
+def _read_records(
+    release: ReleaseRecords, lines: Iterable[str], origin: str
+) -> Iterator[str]:
+    """The record lines of *lines* (what :func:`record_lines` yields),
+    each parsed into *release* on the way."""
+    orgs, delegations = release.orgs, release.delegations
+    # Org ids, names and countries repeat across records (an ASN's
+    # registry name is often its org's name); one string each.
+    strings: Dict[str, str] = {}
+    preamble = True
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if preamble and release.header is None:
+                release.header = parse_release_header((line,))
+            continue
+        preamble = False
+        yield line
+        if release.error is not None:
+            continue
+        try:
+            kind, fields = _parse_record(line, lineno, origin)
+        except Exception as exc:  # noqa: BLE001 — re-raised by org_rows
+            release.error = exc
+            continue
+        if kind == "Organization":
+            org_id, name, country, _ = fields
+            org_id = strings.setdefault(org_id, org_id)
+            if org_id not in orgs:
+                orgs[org_id] = (
+                    strings.setdefault(name, name),
+                    strings.setdefault(country, country),
+                )
+            elif release.duplicate_org is None:
+                release.duplicate_org = org_id
+        else:
+            asn, org_id, name, _ = fields
+            delegations.append(
+                (
+                    asn,
+                    strings.setdefault(org_id, org_id),
+                    strings.setdefault(name, name),
+                )
+            )
 
 
 def load_as2org_file(path: Union[str, Path]) -> WhoisDataset:

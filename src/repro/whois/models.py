@@ -8,7 +8,7 @@ and an ``asn`` record linking each allocated ASN to exactly one org.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from ..errors import SchemaError
 from ..types import ASN, CountryCode, WhoisOrgID, is_valid_asn
@@ -27,14 +27,7 @@ class WhoisOrg:
     source: str = "arin"
 
     def validate(self) -> "WhoisOrg":
-        if not self.org_id:
-            raise SchemaError("WHOIS org with empty org_id")
-        if not self.name:
-            raise SchemaError(f"WHOIS org {self.org_id}: empty name")
-        if self.source not in RIRS:
-            raise SchemaError(
-                f"WHOIS org {self.org_id}: unknown RIR {self.source!r}"
-            )
+        _check_org(self.org_id, self.name, self.source)
         return self
 
     def to_json(self) -> Dict[str, Any]:
@@ -48,15 +41,7 @@ class WhoisOrg:
 
     @classmethod
     def from_json(cls, record: Dict[str, Any]) -> "WhoisOrg":
-        try:
-            return cls(
-                org_id=str(record["organizationId"]),
-                name=str(record["name"]),
-                country=str(record.get("country", "") or ""),
-                source=str(record.get("source", "arin")).lower(),
-            ).validate()
-        except KeyError as exc:
-            raise SchemaError(f"bad Organization record: {record!r}") from exc
+        return cls(*org_fields(record))
 
 
 @dataclass(frozen=True)
@@ -69,12 +54,7 @@ class ASNDelegation:
     source: str = "arin"
 
     def validate(self) -> "ASNDelegation":
-        if not is_valid_asn(self.asn):
-            raise SchemaError(f"delegation with invalid ASN {self.asn!r}")
-        if not self.org_id:
-            raise SchemaError(f"AS{self.asn}: empty org_id")
-        if self.source not in RIRS:
-            raise SchemaError(f"AS{self.asn}: unknown RIR {self.source!r}")
+        _check_delegation(self.asn, self.org_id, self.source)
         return self
 
     def to_json(self) -> Dict[str, Any]:
@@ -88,12 +68,61 @@ class ASNDelegation:
 
     @classmethod
     def from_json(cls, record: Dict[str, Any]) -> "ASNDelegation":
-        try:
-            return cls(
-                asn=int(record["asn"]),
-                org_id=str(record["organizationId"]),
-                name=str(record.get("name", "") or ""),
-                source=str(record.get("source", "arin")).lower(),
-            ).validate()
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad ASN record: {record!r}") from exc
+        return cls(*delegation_fields(record))
+
+
+# The record checks work on plain values, so a reader that keeps no
+# instances (the serve tier's release load) validates exactly as
+# ``from_json`` does.
+
+
+def _check_org(org_id: WhoisOrgID, name: str, source: str) -> None:
+    if not org_id:
+        raise SchemaError("WHOIS org with empty org_id")
+    if not name:
+        raise SchemaError(f"WHOIS org {org_id}: empty name")
+    if source not in RIRS:
+        raise SchemaError(f"WHOIS org {org_id}: unknown RIR {source!r}")
+
+
+def _check_delegation(asn: ASN, org_id: WhoisOrgID, source: str) -> None:
+    if not is_valid_asn(asn):
+        raise SchemaError(f"delegation with invalid ASN {asn!r}")
+    if not org_id:
+        raise SchemaError(f"AS{asn}: empty org_id")
+    if source not in RIRS:
+        raise SchemaError(f"AS{asn}: unknown RIR {source!r}")
+
+
+def org_fields(
+    record: Dict[str, Any]
+) -> Tuple[WhoisOrgID, str, CountryCode, str]:
+    """The validated ``(org_id, name, country, source)`` of an
+    ``Organization`` record (:class:`WhoisOrg`'s fields, in order)."""
+    try:
+        fields = (
+            str(record["organizationId"]),
+            str(record["name"]),
+            str(record.get("country", "") or ""),
+            str(record.get("source", "arin")).lower(),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"bad Organization record: {record!r}") from exc
+    _check_org(fields[0], fields[1], fields[3])
+    return fields
+
+
+def delegation_fields(record: Dict[str, Any]) -> Tuple[ASN, WhoisOrgID, str, str]:
+    """The validated ``(asn, org_id, name, source)`` of an ``ASN`` record
+    (:class:`ASNDelegation`'s fields, in order)."""
+    try:
+        fields = (
+            int(record["asn"]),
+            str(record["organizationId"]),
+            str(record.get("name", "") or ""),
+            str(record.get("source", "arin")).lower(),
+        )
+    except (KeyError, ValueError) as exc:
+        raise SchemaError(f"bad ASN record: {record!r}") from exc
+    _check_delegation(fields[0], fields[1], fields[3])
+    return fields

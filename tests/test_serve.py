@@ -126,6 +126,15 @@ class TestMappingIndex:
         ).country
 
 
+def test_first_asn_is_the_lowest_without_the_table(index, monkeypatch):
+    lowest = index.asns()[0]
+    monkeypatch.setattr(
+        MappingIndex, "asns", lambda self: pytest.fail("unpacked the table")
+    )
+    assert index.first_asn() == lowest
+    assert MappingIndex.compile("empty", 0, []).first_asn() is None
+
+
 # -- SnapshotStore ---------------------------------------------------------
 
 
@@ -430,6 +439,170 @@ class TestHTTPAPI:
     def test_admin_endpoints_404_without_slo(self, server):
         assert _get_error(f"{server.url}/v1/admin/slo")[0] == 404
         assert _get_error(f"{server.url}/v1/admin/exemplars")[0] == 404
+
+
+# -- response bodies -------------------------------------------------------
+
+
+def _raw(url: str, data: bytes = None) -> bytes:
+    with urllib.request.urlopen(url, data=data, timeout=5) as response:
+        return response.read()
+
+
+def _dumped(response: dict) -> bytes:
+    return json.dumps(response).encode("utf-8")
+
+
+class TestResponseBodies:
+    """The cache holds encoded bodies: every answer, hit or miss, over
+    HTTP or in process, is ``json.dumps`` of the dict the index gives."""
+
+    @pytest.fixture()
+    def server(self, borges_mapping, universe, registry):
+        service = make_service(
+            borges_mapping, registry, whois=universe.whois, pdb=universe.pdb
+        )
+        with QueryServer(service) as srv:
+            yield srv
+
+    @staticmethod
+    def _expected(index, generation: int, response: dict) -> dict:
+        return dict(response, generation=generation)
+
+    def test_every_endpoint_hit_equals_miss_equals_dumps(self, server):
+        service = server.service
+        index = service.store.current().index
+        multi = next(
+            index.org_of(asn) for asn in index.asns()
+            if index.org_of(asn).size > 1
+        )
+        a, b = multi.members[:2]
+        query = multi.name.split()[0]
+        cases = [
+            (
+                f"/v1/asn/{a}",
+                lambda: service.lookup_asn(a),
+                self._expected(index, 1, index.lookup_asn(a).to_json()),
+            ),
+            (
+                f"/v1/org/{multi.org_id}",
+                lambda: service.lookup_org(multi.org_id),
+                self._expected(index, 1, index.org(multi.org_id).to_json()),
+            ),
+            (
+                f"/v1/siblings?a={a}&b={b}",
+                lambda: service.siblings(a, b),
+                {"a": a, "b": b, "siblings": True, "generation": 1},
+            ),
+            (
+                f"/v1/siblings?asn={a}",
+                lambda: service.siblings(a),
+                {
+                    "asn": a,
+                    "org_id": multi.org_id,
+                    "siblings": [m for m in multi.members if m != a],
+                    "generation": 1,
+                },
+            ),
+            (
+                f"/v1/search?q={query}&limit=3",
+                lambda: service.search(query, limit=3),
+                {
+                    "query": query,
+                    "results": [
+                        r.to_json() for r in index.search(query, limit=3)
+                    ],
+                    "generation": 1,
+                },
+            ),
+        ]
+        for path, in_process, expected in cases:
+            miss = _raw(server.url + path)
+            hit = _raw(server.url + path)
+            assert miss == hit == _dumped(expected), path
+            assert in_process() == expected, path
+
+    def test_batch_joins_hits_and_misses_into_the_dumps_body(self, server):
+        service = server.service
+        index = service.store.current().index
+        asns = index.asns()[:4]
+        service.lookup_asn(asns[1])  # one hit, the rest misses
+        batch = [asns[0], asns[1], -5, asns[2], asns[1]]
+        expected = {
+            "results": [
+                {"asn": -5, "error": "unknown_asn"} if asn == -5
+                else self._expected(index, 1, index.lookup_asn(asn).to_json())
+                for asn in batch
+            ]
+        }
+        payload = json.dumps({"asns": batch}).encode()
+        first = _raw(f"{server.url}/v1/batch", payload)
+        again = _raw(f"{server.url}/v1/batch", payload)
+        assert first == again == _dumped(expected)
+        assert service.batch_lookup(batch) == expected["results"]
+        empty = _raw(f"{server.url}/v1/batch", b'{"asns": []}')
+        assert empty == _dumped({"results": []})
+
+    def test_a_swap_never_serves_the_old_generations_bytes(
+        self, borges_mapping, universe, registry
+    ):
+        service = make_service(borges_mapping, registry, whois=universe.whois)
+        asn = service.store.current().index.asns()[0]
+        old = service.lookup_asn_body(asn)
+        old_batch = service.batch_lookup_body([asn])
+        service.store.load_from_mapping(borges_mapping, whois=universe.whois)
+        new = service.lookup_asn_body(asn)
+        assert json.loads(old)["generation"] == 1
+        assert new == _dumped(dict(json.loads(old), generation=2))
+        assert service.batch_lookup_body([asn]) == _dumped(
+            {"results": [json.loads(new)]}
+        )
+        assert old_batch != service.batch_lookup_body([asn])
+
+    def test_mutating_a_returned_dict_changes_no_later_answer(
+        self, borges_mapping, registry
+    ):
+        service = make_service(borges_mapping, registry)
+        index = service.store.current().index
+        asn = index.asns()[0]
+        org_id = index.org_of(asn).org_id
+        for call in (
+            lambda: service.lookup_asn(asn),
+            lambda: service.lookup_org(org_id),
+            lambda: service.search("a"),
+            lambda: service.batch_lookup([asn])[0],
+        ):
+            first = call()
+            pristine = json.loads(json.dumps(first))
+            first["generation"] = 99
+            for value in first.values():
+                if isinstance(value, (list, dict)):
+                    value.clear()
+            again = call()
+            assert again == pristine and again is not first
+
+    def test_a_failed_swap_marks_cached_and_fresh_answers_stale(
+        self, borges_mapping, registry
+    ):
+        """Stale is part of the cache key: an answer cached before the
+        failed swap is not served without ``stale`` after it."""
+        service = make_service(borges_mapping, registry)
+        a, b = service.store.current().index.asns()[:2]
+        assert "stale" not in service.lookup_asn(a)
+
+        def failing_loader():
+            raise OSError("disk gone")
+
+        assert service.store.try_swap(failing_loader) is None
+        hit, miss = service.lookup_asn(a), service.lookup_asn(b)
+        assert hit["stale"] is True and miss["stale"] is True
+        assert service.batch_lookup([a, b])[0]["stale"] is True
+        org_id = hit["org"]["org_id"]
+        assert service.lookup_org(org_id)["stale"] is True
+        assert service.search("a")["stale"] is True
+        # A successful swap clears it again, under a new generation.
+        service.store.load_from_mapping(borges_mapping)
+        assert "stale" not in service.lookup_asn(a)
 
 
 # -- request-scoped observability over HTTP --------------------------------

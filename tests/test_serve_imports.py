@@ -64,9 +64,10 @@ def _imported(log: str):
 
 
 @pytest.fixture(scope="module")
-def serve_imports(tmp_path_factory):
-    """Every module one ``borges serve`` process imported before (and
-    while) answering, per its ``-X importtime`` log."""
+def serve_run(tmp_path_factory):
+    """One ``borges serve`` process: ``(modules, output)``, every module
+    it imported before (and while) answering, per its ``-X importtime``
+    log, and what it printed up to its ``try: curl`` hint."""
     tmp = tmp_path_factory.mktemp("serve-imports")
     release = _release(tmp / "release.jsonl")
     env = dict(os.environ)
@@ -89,7 +90,7 @@ def serve_imports(tmp_path_factory):
         try:
             for line in proc.stdout:
                 output.append(line)
-                if line.startswith("serving on http://"):
+                if line.startswith("  try: curl "):
                     break
             proc.send_signal(signal.SIGINT)
             proc.communicate(timeout=15)
@@ -99,7 +100,17 @@ def serve_imports(tmp_path_factory):
                 proc.kill()
                 proc.wait(timeout=15)
     assert any(line.startswith("serving on") for line in output), "".join(output)
-    return set(_imported(log_path.read_text(encoding="utf-8")))
+    return set(_imported(log_path.read_text(encoding="utf-8"))), output
+
+
+@pytest.fixture(scope="module")
+def serve_imports(serve_run):
+    return serve_run[0]
+
+
+def test_serve_hints_at_the_lowest_asn(serve_run):
+    """The hint names ``asns()[0]``, read without unpacking the table."""
+    assert serve_run[1][-1].rstrip().endswith("/v1/asn/174"), serve_run[1]
 
 
 def test_log_sees_the_read_path(serve_imports):

@@ -24,6 +24,7 @@ from repro.obs import use_registry
 from repro.resilience import PROFILES, FaultInjector
 from repro.resilience.faults import FaultProfile
 from repro.serve import MappingIndex, QueryServer, QueryService, SnapshotStore
+from repro.serve.diff import diff_indexes
 from repro.universe import generate_universe
 from repro.watch import (
     GateThresholds,
@@ -406,6 +407,17 @@ class TestArchivedAnswersMatchLive:
         assert revived.store.current().index.blob == live.blob
 
 
+def _get_raw(server, path):
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+    finally:
+        conn.close()
+
+
 def _get(server, path):
     conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
     try:
@@ -472,6 +484,33 @@ class TestWatchServeSurface:
         assert status == 400
         status, body = _get(server, "/v1/diff?from=1&to=77")
         assert status == 404
+
+    def test_archived_bodies_are_the_dumps_of_their_dicts(self, world):
+        """``?gen=`` and ``/v1/diff`` answer from cached bodies: a hit's
+        bytes equal a miss's, and both are ``json.dumps`` of the dict the
+        archived indexes give."""
+        daemon, service, server = world
+        old = daemon.store.generation_index(1)
+        new = daemon.store.generation_index(2)
+        expected = {
+            "/v1/asn/3?gen=1": {
+                **old.lookup_asn(3).to_json(),
+                "generation": 1,
+                "archived": True,
+            },
+            "/v1/diff?from=1&to=2": {
+                "from": 1,
+                "to": 2,
+                **diff_indexes(old, new).to_json(),
+            },
+        }
+        for path, response in expected.items():
+            body = json.dumps(response).encode("utf-8")
+            assert _get_raw(server, path) == _get_raw(server, path) == body
+        assert service.lookup_asn(3, gen=1) == expected["/v1/asn/3?gen=1"]
+        assert (
+            service.generation_diff(1, 2) == expected["/v1/diff?from=1&to=2"]
+        )
 
     def test_admin_watch_surfaces_daemon_status(self, world):
         daemon, _service, server = world
